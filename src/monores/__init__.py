@@ -33,11 +33,9 @@ from .errors import (
     ParseError,
 )
 from .homology import (
-    BoundaryMatrix,
     FieldSpec,
     HomologyRanks,
     IntegralHomology,
-    boundary_matrices,
     integral_homology,
     is_acyclic,
     reduced_homology,

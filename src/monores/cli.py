@@ -11,17 +11,16 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 import time
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 from . import __version__
 from .complexes import (
     CLIQUE_CAP,
     FACE_CAP,
+    _scarf_faces,
     buchberger_complex,
     buchberger_graph,
     clique_complex,
@@ -53,14 +52,13 @@ from .monomials import (
     parse_ideal,
     random_ideal,
 )
-from .posets import LATTICE_CAP
+from .posets import LATTICE_CAP, lcm_lattice
 from .resolution import (
     CheckResult,
     VerificationReport,
     betti_from_agreement,
     betti_from_complex,
     betti_from_intervals,
-    buchberger_minimality,
     conjecture_evidence,
     conjecture_verdict,
     is_minimal_complex,
@@ -98,7 +96,6 @@ class RunConfig:
     max_cliques: int = CLIQUE_CAP
     seed: int = 0
     trials: int = 0
-    fmt: str = "text"
     log_path: str | None = None
 
     def __post_init__(self):
@@ -198,14 +195,6 @@ def replay_fuzz_record(record: FuzzRecord, *, max_cliques: int = CLIQUE_CAP) -> 
     return fresh.verdict == record.verdict and fresh.checks == record.checks
 
 
-def _pool_map(fn, items):
-    workers = int(os.environ.get("MONORES_THREADS", "1") or "1")
-    if workers <= 1:
-        return [fn(x) for x in items]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, items))
-
-
 # ---------------------------------------------------------------------------
 # command helpers
 
@@ -284,7 +273,6 @@ def _config(args, fields=(FieldSpec(0),)) -> RunConfig:
         max_cliques=getattr(args, "cap_cliques", CLIQUE_CAP),
         seed=getattr(args, "seed", 0),
         trials=getattr(args, "trials", 0),
-        fmt=getattr(args, "format", "text"),
         log_path=getattr(args, "log", None),
     )
 
@@ -362,26 +350,28 @@ def cmd_verify(args) -> int:
     ideal = _load_ideal(args)
     cfg = _config(args, fields=_parse_fields(args.fields))
     bu = buchberger_complex(ideal, max_faces=cfg.max_faces)
-    minimal = buchberger_minimality(ideal, max_faces=cfg.max_faces)
+    scarf = frozenset(_scarf_faces(bu))
+    minimal = scarf == bu.face_set()
+    lattice = lcm_lattice(ideal, max_elements=cfg.max_lattice)
     checks = [
         CheckResult(
             "minimality-cross-check",
             "pass" if is_minimal_complex(bu) == minimal else "fail",
         )
     ]
-    for f in cfg.fields:
+    supports = supports_resolution(bu, ideal, cfg.fields, lattice=lattice)
+    batteries = lemma_battery(
+        ideal, cfg.fields, complex_=bu, lattice=lattice, max_faces=cfg.max_faces
+    )
+    for f, support, battery in zip(cfg.fields, supports, batteries):
         prefix = f"char{f.characteristic}"
-        support = supports_resolution(bu, ideal, f, max_lattice=cfg.max_lattice)
         checks.extend(
             CheckResult(f"{prefix}:{c.name}", c.status, c.witness, c.reason)
-            for c in support.checks
+            for c in support.checks + battery.checks
         )
-        battery = lemma_battery(ideal, f, max_lattice=cfg.max_lattice)
-        checks.extend(
-            CheckResult(f"{prefix}:{c.name}", c.status, c.witness, c.reason)
-            for c in battery.checks
-        )
-    equivalence = verify_scarf_equivalence(ideal, cfg.fields[0])
+    equivalence = verify_scarf_equivalence(
+        ideal, cfg.fields[0], complex_=bu, scarf_faces=scarf, support=supports[0]
+    )
     checks.extend(equivalence.checks)
     report = VerificationReport(tuple(checks))
     if args.format == "json":
@@ -422,7 +412,7 @@ def cmd_conjecture(args) -> int:
         )
         return run_conjecture_trial(spec, cfg.fields, max_cliques=cfg.max_cliques)
 
-    records = _pool_map(trial, range(cfg.trials))
+    records = [trial(i) for i in range(cfg.trials)]
     if cfg.log_path:
         with open(cfg.log_path, "a", encoding="utf-8") as handle:
             for record in records:

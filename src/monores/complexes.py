@@ -13,6 +13,7 @@ from itertools import chain, combinations
 import networkx as nx
 
 from .errors import CapExceededError
+from .homology import collapsed_core
 from .monomials import (
     Multidegree,
     MonomialIdeal,
@@ -33,7 +34,7 @@ CLIQUE_CAP = 1 << 18
 class SimplicialComplex:
     """Downward-closed family of sorted vertex tuples."""
 
-    __slots__ = ("_by_dim", "_face_set")
+    __slots__ = ("_by_dim", "_face_set", "_core")
 
     def __init__(self, faces, *, validate: bool = True):
         seen = set()
@@ -56,6 +57,7 @@ class SimplicialComplex:
             by_dim.setdefault(len(f) - 1, []).append(f)
         self._by_dim = {k: tuple(sorted(v)) for k, v in by_dim.items()}
         self._face_set = frozenset(seen)
+        self._core = None
 
     @property
     def dim(self) -> int:
@@ -71,6 +73,16 @@ class SimplicialComplex:
 
     def face_set(self) -> frozenset[Face]:
         return self._face_set
+
+    def core(self) -> frozenset[Face]:
+        """The faces left by ``collapsed_core``, computed on first use.
+
+        Every homology computation reads this, so a complex is collapsed
+        once however many fields it is checked over.
+        """
+        if self._core is None:
+            self._core = frozenset(collapsed_core(self._face_set))
+        return self._core
 
     def has_face(self, f) -> bool:
         return tuple(f) in self._face_set

@@ -15,19 +15,34 @@ from math import gcd
 
 from .errors import CapExceededError
 
-DENSE_COLUMN_LIMIT = 500
 INTEGRAL_CELL_CAP = 4096
 DEFAULT_CHARACTERISTICS = (0, 2, 3, 32003)
+CHARACTERISTIC_LIMIT = 1 << 64
+
+
+# Miller-Rabin with these bases decides primality for every n < 2**64
+_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
 
 def _is_prime(n: int) -> bool:
     if n < 2:
         return False
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
+    for a in _WITNESSES:
+        if n % a == 0:
+            return n == a
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for a in _WITNESSES:
+        x = pow(a, d, n)
+        if x in (1, n - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
             return False
-        d += 1
     return True
 
 
@@ -39,35 +54,13 @@ class FieldSpec:
 
     def __post_init__(self):
         c = self.characteristic
+        if c >= CHARACTERISTIC_LIMIT:
+            raise ValueError(f"characteristic must be below 2**64, got {c}")
         if c != 0 and not _is_prime(c):
             raise ValueError(f"characteristic must be 0 or prime, got {c}")
 
 
 DEFAULT_FIELDS = tuple(FieldSpec(c) for c in DEFAULT_CHARACTERISTICS)
-
-
-@dataclass(frozen=True)
-class BoundaryMatrix:
-    """Signed incidence matrix from k-faces (columns) to (k-1)-faces (rows).
-
-    The entry for (G, F) with G = F minus its vertex at position p carries
-    sign (-1)^p; rows and columns follow the canonical face order.
-    """
-
-    rows: int
-    cols: int
-    entries: tuple[tuple[int, int, int], ...]
-
-    def to_dense(self) -> list[list[int]]:
-        m = [[0] * self.cols for _ in range(self.rows)]
-        for r, c, v in self.entries:
-            m[r][c] = v
-        return m
-
-    def triplet_text(self) -> str:
-        lines = [f"{self.rows} {self.cols}"]
-        lines.extend(f"{r} {c} {v}" for r, c, v in self.entries)
-        return "\n".join(lines) + "\n"
 
 
 @dataclass(frozen=True)
@@ -99,25 +92,6 @@ class IntegralHomology:
     @property
     def trivial(self) -> bool:
         return not any(self.ranks) and self.torsion_free
-
-
-def boundary_matrices(complex_) -> list[BoundaryMatrix]:
-    """The maps from k-faces down to (k-1)-faces for k = 0..dim.
-
-    Index 0 is the augmentation onto the empty face, so the composite of any
-    two consecutive matrices is zero over the integers.
-    """
-    mats = []
-    for k in range(0, complex_.dim + 1):
-        rows = {f: i for i, f in enumerate(complex_.faces(k - 1))}
-        cols = complex_.faces(k)
-        entries = []
-        for c, f in enumerate(cols):
-            for p in range(len(f)):
-                facet = f[:p] + f[p + 1:]
-                entries.append((rows[facet], c, -1 if p % 2 else 1))
-        mats.append(BoundaryMatrix(len(rows), len(cols), tuple(sorted(entries))))
-    return mats
 
 
 # ---------------------------------------------------------------------------
@@ -165,7 +139,10 @@ def collapsed_core(faces) -> set[tuple[int, ...]]:
 # ---------------------------------------------------------------------------
 # exact rank computation
 
-def _rank_dense(rows: list[dict[int, int]], ncols: int, p: int) -> int:
+def _matrix_rank(rows: list[dict[int, int]], ncols: int, p: int) -> int:
+    """Rank by dense elimination: fraction-free for p = 0, modular otherwise."""
+    if not rows or not ncols:
+        return 0
     m = [[0] * ncols for _ in rows]
     for i, row in enumerate(rows):
         for c, v in row.items():
@@ -198,75 +175,6 @@ def _rank_dense(rows: list[dict[int, int]], ncols: int, p: int) -> int:
         if rank == nrows:
             break
     return rank
-
-
-def _rank_sparse(rows: list[dict[int, int]], ncols: int, p: int) -> int:
-    """Markowitz-flavored elimination on dictionary rows."""
-    active = []
-    for row in rows:
-        r = {c: (v % p if p else v) for c, v in row.items() if (v % p if p else v)}
-        if r:
-            active.append(r)
-    col_count: dict[int, int] = {}
-    for row in active:
-        for c in row:
-            col_count[c] = col_count.get(c, 0) + 1
-    rank = 0
-    while active:
-        best_key, best = None, None
-        for ri, row in enumerate(active):
-            rw = len(row) - 1
-            for c, v in row.items():
-                key = (rw * (col_count[c] - 1), abs(v) != 1, c, ri)
-                if best_key is None or key < best_key:
-                    best_key, best = key, (ri, c)
-        ri, pc = best
-        pivot_row = active[ri]
-        active[ri] = active[-1]
-        active.pop()
-        for c in pivot_row:
-            col_count[c] -= 1
-        pv = pivot_row[pc]
-        rank += 1
-        remaining = []
-        for row in active:
-            a = row.get(pc)
-            if a is None:
-                remaining.append(row)
-                continue
-            for c in row:
-                col_count[c] -= 1
-            if p:
-                factor = a * pow(pv, -1, p) % p
-                new = {}
-                for c in set(row) | set(pivot_row):
-                    v = (row.get(c, 0) - factor * pivot_row.get(c, 0)) % p
-                    if v:
-                        new[c] = v
-            else:
-                new = {}
-                g = 0
-                for c in set(row) | set(pivot_row):
-                    v = row.get(c, 0) * pv - a * pivot_row.get(c, 0)
-                    if v:
-                        new[c] = v
-                        g = gcd(g, v)
-                if g > 1:
-                    new = {c: v // g for c, v in new.items()}
-            if new:
-                for c in new:
-                    col_count[c] = col_count.get(c, 0) + 1
-                remaining.append(new)
-        active = remaining
-    return rank
-
-
-def _matrix_rank(rows: list[dict[int, int]], ncols: int, characteristic: int) -> int:
-    if not rows or not ncols:
-        return 0
-    if ncols < DENSE_COLUMN_LIMIT:
-        return _rank_dense(rows, ncols, characteristic)
-    return _rank_sparse(rows, ncols, characteristic)
 
 
 def _faces_by_dim(faces) -> dict[int, list[tuple[int, ...]]]:
@@ -307,7 +215,7 @@ def _reduced_ranks_of_faces(faces, characteristic: int) -> dict[int, int]:
 
 def reduced_homology(complex_, field: FieldSpec = FieldSpec(0), *, collapse: bool = True) -> HomologyRanks:
     """Reduced Betti numbers of the complex over the given field."""
-    faces = collapsed_core(complex_.face_set()) if collapse else complex_.face_set()
+    faces = complex_.core() if collapse else complex_.face_set()
     ranks = _reduced_ranks_of_faces(faces, field.characteristic)
     return HomologyRanks(tuple(ranks.get(k, 0) for k in range(-1, complex_.dim + 1)))
 
@@ -394,7 +302,7 @@ def _invariant_factors(diagonal: list[int]) -> list[int]:
 
 def integral_homology(complex_, *, max_cells: int = INTEGRAL_CELL_CAP) -> IntegralHomology:
     """Free ranks and invariant factors of the reduced integral homology."""
-    faces = collapsed_core(complex_.face_set())
+    faces = complex_.core()
     if len(faces) - 1 > max_cells:
         raise CapExceededError(
             f"{len(faces) - 1} cells after collapsing exceed cap {max_cells}"
@@ -406,12 +314,8 @@ def integral_homology(complex_, *, max_cells: int = INTEGRAL_CELL_CAP) -> Integr
     if counts.get(0):
         diag[0] = [1]
     for k in range(1, top + 1):
-        index = {f: i for i, f in enumerate(by_dim[k - 1])}
-        dense = [[0] * counts[k] for _ in range(counts[k - 1])]
-        for c, f in enumerate(by_dim[k]):
-            for p in range(len(f)):
-                dense[index[f[:p] + f[p + 1:]]][c] = -1 if p % 2 else 1
-        diag[k] = _diagonalize(dense)
+        rows = _boundary_rows(by_dim[k - 1], by_dim[k])
+        diag[k] = _diagonalize([[row.get(c, 0) for c in range(counts[k])] for row in rows])
     ranks = []
     torsion = []
     for k in range(-1, complex_.dim + 1):

@@ -101,71 +101,26 @@ class FinitePoset:
                     return False
         return True
 
-    def covers(self) -> list[tuple[int, int]]:
-        """Cover pairs (i, j) of the Hasse diagram, via transitive reduction."""
-        out = []
-        for i in range(len(self.elements)):
-            strict_up = self.up_mask(i) & ~(1 << i)
-            rest = strict_up
-            while rest:
-                j = (rest & -rest).bit_length() - 1
-                between = strict_up & self.down_mask(j) & ~(1 << j)
-                if not between:
-                    out.append((i, j))
-                rest &= rest - 1
-        return sorted(out)
-
-
-def _payload_json(e):
-    if isinstance(e, tuple):
-        return list(e)
-    if isinstance(e, frozenset):
-        return sorted(e)
-    return e
-
-
-def poset_to_json_dict(poset: FinitePoset) -> dict:
-    return {
-        "elements": [_payload_json(e) for e in poset.elements],
-        "cover_relations": [list(c) for c in poset.covers()],
-    }
-
 
 class LcmLattice:
     """All lcms of generator subsets, divisibility-ordered, bottom element 1."""
 
-    __slots__ = ("nvars", "elements", "_pos", "_poset")
+    __slots__ = ("nvars", "elements", "_members")
 
     def __init__(self, nvars: int, elements):
         self.nvars = nvars
         self.elements = tuple(sorted(elements))
-        self._pos = {e: i for i, e in enumerate(self.elements)}
-        self._poset = None
+        self._members = frozenset(self.elements)
 
     def __contains__(self, m) -> bool:
-        return tuple(m) in self._pos
+        return tuple(m) in self._members
 
     def __len__(self) -> int:
         return len(self.elements)
 
-    def index(self, m) -> int:
-        return self._pos[tuple(m)]
-
-    @property
-    def bottom(self) -> Multidegree:
-        return (0,) * self.nvars
-
     @property
     def top(self) -> Multidegree:
         return tuple(max(col) for col in zip(*self.elements))
-
-    def join(self, a, b) -> Multidegree:
-        return tuple(map(max, a, b))
-
-    def poset(self) -> FinitePoset:
-        if self._poset is None:
-            self._poset = FinitePoset(self.elements, divides)
-        return self._poset
 
 
 def lcm_lattice(ideal: MonomialIdeal, *, max_elements: int = LATTICE_CAP) -> LcmLattice:
@@ -210,14 +165,7 @@ def buchberger_degree_poset(
         for e in lattice.elements
         if any(e) and not any(properly_divides(g, e) for g in gens)
     ]
-    poset = FinitePoset(degrees, divides)
-    # sanity: proper divisibility passes down, so this is a lower order ideal
-    degree_set = set(degrees)
-    for e in degrees:
-        for e2 in lattice.elements:
-            if any(e2) and divides(e2, e) and e2 not in degree_set:
-                raise AssertionError("degree poset failed to be a lower order ideal")
-    return poset
+    return FinitePoset(degrees, divides)
 
 
 def agreement_poset(

@@ -118,21 +118,6 @@ class FreeResolutionDescription:
             raise IndexError(f"no differential at homological index {i}")
         return self.differentials[i - 1]
 
-    def differential_text(self, i: int) -> str:
-        entries = {(r, c): (s, e) for r, c, s, e in self.differential(i)}
-        nrows, ncols = len(self.basis[i - 1]), len(self.basis[i])
-        lines = []
-        for r in range(nrows):
-            cells = []
-            for c in range(ncols):
-                if (r, c) in entries:
-                    s, e = entries[(r, c)]
-                    cells.append(("+" if s > 0 else "-") + "x^(" + ",".join(map(str, e)) + ")")
-                else:
-                    cells.append(".")
-            lines.append("  ".join(cells))
-        return "\n".join(lines) + "\n"
-
     def compose_zero(self) -> bool:
         """Symbolic check that consecutive differentials compose to zero."""
         for i in range(2, len(self.basis)):
@@ -177,21 +162,22 @@ def homogenized_resolution(complex_: LabeledComplex) -> FreeResolutionDescriptio
 def supports_resolution(
     complex_: LabeledComplex,
     ideal: MonomialIdeal,
-    field: FieldSpec = FieldSpec(0),
+    fields=(FieldSpec(0),),
     *,
     lattice: LcmLattice | None = None,
     max_lattice: int = LATTICE_CAP,
-) -> VerificationReport:
-    """Check acyclicity of every degree-restricted subcomplex.
+) -> tuple[VerificationReport, ...]:
+    """Check acyclicity of every degree-restricted subcomplex, one report per field.
 
     Only lcm-lattice degrees need checking: the subcomplex of faces dividing
     m depends only on the set of generators dividing m, and the lcm of that
     set is a lattice element giving the same subcomplex.
     """
-    lattice = lattice or lcm_lattice(ideal, max_elements=max_lattice)
+    if lattice is None:
+        lattice = lcm_lattice(ideal, max_elements=max_lattice)
     gens = ideal.generators
     seen: set[frozenset[int]] = set()
-    failures = []
+    failures: list[list[dict]] = [[] for _ in fields]
     checked = 0
     for m in lattice.elements:
         if not any(m):
@@ -202,21 +188,22 @@ def supports_resolution(
             continue
         seen.add(key)
         sub = subcomplex_dividing(complex_, m)
-        if not is_acyclic(sub, field):
-            ranks = reduced_homology(sub, field)
-            failures.append({"degree": list(m), "reduced_ranks": list(ranks.ranks)})
-    witness = None
-    if failures:
-        witness = {"characteristic": field.characteristic, "failures": failures[:5]}
-    return VerificationReport(
-        (
-            CheckResult(
-                "subcomplexes-acyclic",
-                "fail" if failures else "pass",
-                witness,
-                reason=None if failures else f"{checked} lattice degrees",
-            ),
+        for f, found in zip(fields, failures):
+            if not is_acyclic(sub, f):
+                ranks = reduced_homology(sub, f)
+                found.append({"degree": list(m), "reduced_ranks": list(ranks.ranks)})
+    return tuple(
+        VerificationReport(
+            (
+                CheckResult(
+                    "subcomplexes-acyclic",
+                    "fail" if found else "pass",
+                    {"characteristic": f.characteristic, "failures": found[:5]} if found else None,
+                    reason=None if found else f"{checked} lattice degrees",
+                ),
+            )
         )
+        for f, found in zip(fields, failures)
     )
 
 
@@ -362,6 +349,9 @@ def verify_scarf_equivalence(
     ideal: MonomialIdeal,
     field: FieldSpec = FieldSpec(0),
     *,
+    complex_: LabeledComplex | None = None,
+    scarf_faces: frozenset[Face] | None = None,
+    support: VerificationReport | None = None,
     exhaustive_limit: int = EXHAUSTIVE_SUBSET_LIMIT,
     max_faces: int = FACE_CAP,
 ) -> VerificationReport:
@@ -372,11 +362,13 @@ def verify_scarf_equivalence(
     and with the ideal-membership form (every non-Scarf subset's lcm has a
     proper divisor inside the ideal, which reduces to a generator dividing
     the truncated degree).  Above the subset cap both scans downgrade to the
-    faces of the Buchberger complex.
+    faces of the Buchberger complex.  The Buchberger complex, its Scarf
+    faces and its support report over ``field`` are computed here unless
+    the caller passes them.
     """
     gens = ideal.generators
-    bu = buchberger_complex(ideal, max_faces=max_faces)
-    sc_faces = set(_scarf_faces(bu))
+    bu = complex_ if complex_ is not None else buchberger_complex(ideal, max_faces=max_faces)
+    sc_faces = scarf_faces if scarf_faces is not None else frozenset(_scarf_faces(bu))
     minimal = sc_faces == bu.face_set()
 
     if len(gens) <= exhaustive_limit:
@@ -416,11 +408,10 @@ def verify_scarf_equivalence(
         ),
     ]
     if minimal:
-        sc = LabeledComplex(ideal, sc_faces)
-        ok = (
-            supports_resolution(sc, ideal, field).all_passed
-            and is_minimal_complex(sc)
-        )
+        # equal face sets give equal labels, so the Scarf complex is bu itself
+        if support is None:
+            (support,) = supports_resolution(bu, ideal, (field,))
+        ok = support.all_passed and is_minimal_complex(bu)
         checks.append(_check("scarf-minimal-when-buchberger-minimal", ok,
                              {"ideal": ideal_to_json_dict(ideal)}))
     else:
@@ -456,7 +447,7 @@ def verify_ibar(
             _check("ibar-scarf-equals-buchberger", sc_faces == bu.face_set(), witness),
             _check(
                 "ibar-supports-resolution",
-                supports_resolution(bu, extended, field).all_passed,
+                supports_resolution(bu, extended, (field,))[0].all_passed,
                 witness,
             ),
         )
@@ -532,48 +523,50 @@ def conjecture_verdict(report: VerificationReport) -> str:
 
 def lemma_battery(
     ideal: MonomialIdeal,
-    field: FieldSpec = FieldSpec(0),
+    fields=(FieldSpec(0),),
     *,
+    complex_: LabeledComplex | None = None,
+    lattice: LcmLattice | None = None,
     max_lattice: int = LATTICE_CAP,
     max_chains: int = CHAIN_CAP,
     max_faces: int = FACE_CAP,
-) -> VerificationReport:
-    """Homology-level checks behind the support theorem.
+) -> tuple[VerificationReport, ...]:
+    """Homology-level checks behind the support theorem, one report per field.
 
     Intervals below degrees with a properly dividing generator are acyclic,
     the degree poset's order complex is acyclic, the crosscut complex of the
     generators inside it equals the Buchberger complex, and the Buchberger
-    complex itself is acyclic.
+    complex itself is acyclic.  Every complex is built once and checked over
+    all fields before the next one is built.
     """
     gens = ideal.generators
-    lattice = lcm_lattice(ideal, max_elements=max_lattice)
-    interval_failures = []
+    if lattice is None:
+        lattice = lcm_lattice(ideal, max_elements=max_lattice)
+    interval_failures: list[list[list[int]]] = [[] for _ in fields]
     for m in lattice.elements:
         if not any(m) or not any(properly_divides(g, m) for g in gens):
             continue
         oc = order_complex(open_interval(lattice, m), max_chains=max_chains)
-        if not is_acyclic(oc, field):
-            interval_failures.append(list(m))
+        for f, found in zip(fields, interval_failures):
+            if not is_acyclic(oc, f):
+                found.append(list(m))
     degree_poset = buchberger_degree_poset(ideal, lattice=lattice)
-    poset_acyclic = is_acyclic(order_complex(degree_poset, max_chains=max_chains), field)
-    bu = buchberger_complex(ideal, max_faces=max_faces)
+    oc = order_complex(degree_poset, max_chains=max_chains)
+    poset_acyclic = [is_acyclic(oc, f) for f in fields]
+    del oc  # usually the largest complex here; free it before the crosscut
+    bu = complex_ if complex_ is not None else buchberger_complex(ideal, max_faces=max_faces)
     atoms = [degree_poset.index(g) for g in gens]
     crosscut = crosscut_complex(degree_poset, atoms, max_faces=max_faces)
-    return VerificationReport(
-        (
-            _check(
-                "covered-intervals-acyclic",
-                not interval_failures,
-                {"degrees": interval_failures[:5]},
-            ),
-            _check("degree-poset-acyclic", poset_acyclic,
-                   {"ideal": ideal_to_json_dict(ideal)}),
-            _check(
-                "crosscut-matches-complex",
-                crosscut.face_set() == bu.face_set(),
-                {"ideal": ideal_to_json_dict(ideal)},
-            ),
-            _check("complex-acyclic", is_acyclic(bu, field),
-                   {"ideal": ideal_to_json_dict(ideal)}),
+    crosscut_matches = crosscut.face_set() == bu.face_set()
+    witness = {"ideal": ideal_to_json_dict(ideal)}
+    return tuple(
+        VerificationReport(
+            (
+                _check("covered-intervals-acyclic", not found, {"degrees": found[:5]}),
+                _check("degree-poset-acyclic", poset_ok, witness),
+                _check("crosscut-matches-complex", crosscut_matches, witness),
+                _check("complex-acyclic", is_acyclic(bu, f), witness),
+            )
         )
+        for f, found, poset_ok in zip(fields, interval_failures, poset_acyclic)
     )

@@ -1,4 +1,5 @@
 import json
+import sys
 
 import pytest
 
@@ -282,17 +283,46 @@ class TestConjectureCommand:
             assert is_planar(graph) and is_connected(graph)
 
 
-class TestWorkerPool:
-    def test_threaded_run_is_byte_identical(self, capsys, tmp_path, monkeypatch):
-        argv = [
-            "conjecture", "--vars", "3", "--gens", "5", "--maxdeg", "4",
-            "--trials", "8", "--seed", "3", "--format", "json",
-        ]
-        monkeypatch.delenv("MONORES_THREADS", raising=False)
-        _, serial, _ = run(capsys, argv)
-        monkeypatch.setenv("MONORES_THREADS", "4")
-        _, threaded, _ = run(capsys, argv)
-        assert serial == threaded
+def count_calls(monkeypatch, module, name):
+    """Wrap ``module.name`` in every monores namespace that binds it.
+
+    ``cli`` and ``resolution`` import the builders by name, so patching only
+    the defining module would miss their calls.
+    """
+    original = getattr(module, name)
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(name)
+        return original(*args, **kwargs)
+
+    for mod_name, mod in list(sys.modules.items()):
+        if mod_name.split(".")[0] == "monores" and mod.__dict__.get(name) is original:
+            monkeypatch.setattr(mod, name, counted)
+    return calls
+
+
+class TestBuildCounts:
+    @pytest.mark.parametrize("text", [EXAMPLE_TEXT, SQUAREFREE_TEXT], ids=["example", "squarefree"])
+    def test_verify_builds_complex_and_lattice_once(self, capsys, monkeypatch, text):
+        from monores import complexes, posets
+
+        complexes_built = count_calls(monkeypatch, complexes, "buchberger_complex")
+        lattices_built = count_calls(monkeypatch, posets, "lcm_lattice")
+        code, _, _ = run(capsys, ["verify", "--inline", text, "--fields", "0,2"])
+        assert code == 0
+        assert len(complexes_built) == 1
+        assert len(lattices_built) == 1
+
+    def test_conjecture_trial_collapses_once(self, monkeypatch):
+        from monores import homology
+
+        collapses = count_calls(monkeypatch, homology, "collapsed_core")
+        record = run_conjecture_trial(
+            IdealRandomSpec(4, 7, 4, "arbitrary", 3), homology.DEFAULT_FIELDS
+        )
+        assert record.verdict == "consistent"
+        assert len(collapses) == 1
 
 
 class TestSeedDerivation:

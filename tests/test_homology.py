@@ -1,4 +1,5 @@
 import random
+import time
 
 import pytest
 from hypothesis import given, strategies as st
@@ -8,16 +9,14 @@ from monores import (
     CapExceededError,
     FieldSpec,
     SimplicialComplex,
-    boundary_matrices,
     buchberger_complex,
     integral_homology,
     is_acyclic,
     reduced_homology,
 )
 from monores.homology import (
+    _boundary_rows,
     _matrix_rank,
-    _rank_dense,
-    _rank_sparse,
     collapsed_core,
 )
 
@@ -50,33 +49,52 @@ class TestFieldSpec:
         with pytest.raises(ValueError):
             FieldSpec(1)
 
+    def test_large_characteristics_are_decided_promptly(self):
+        start = time.perf_counter()
+        assert FieldSpec(1000000000000000003).characteristic == 1000000000000000003
+        assert FieldSpec(2**61 - 1).characteristic == 2**61 - 1
+        # a Carmichael number, a strong pseudoprime to the bases 2, 3, 5 and 7,
+        # and a product of two primes near 2**31
+        for composite in (561, 3215031751, 2147483647 * 2147483629):
+            with pytest.raises(ValueError, match="prime"):
+                FieldSpec(composite)
+        assert time.perf_counter() - start < 1.0
+
+    def test_primality_matches_trial_division(self):
+        for n in range(1, 3000):
+            prime = n > 1 and all(n % d for d in range(2, int(n**0.5) + 1))
+            try:
+                FieldSpec(n)
+                accepted = True
+            except ValueError:
+                accepted = False
+            assert accepted == prime, n
+
+    def test_rejects_characteristics_beyond_64_bits(self):
+        with pytest.raises(ValueError, match=r"below 2\*\*64"):
+            FieldSpec(2**89 - 1)
+
 
 class TestBoundaryMatrices:
     def test_single_vertex_augmentation(self):
-        mats = boundary_matrices(complex_of([(0,)]))
-        assert len(mats) == 1
-        assert mats[0].to_dense() == [[1]]
+        assert _boundary_rows([()], [(0,)]) == [{0: 1}]
 
     def test_hollow_triangle_shape(self):
-        mats = boundary_matrices(SimplicialComplex(HOLLOW_TRIANGLE))
-        assert mats[1].rows == 3 and mats[1].cols == 3
+        c = SimplicialComplex(HOLLOW_TRIANGLE)
+        rows = _boundary_rows(c.faces(0), c.faces(1))
+        assert len(rows) == 3 and len(c.faces(1)) == 3
         for col in range(3):
-            assert sum(v for r, c, v in mats[1].entries if c == col) == 0
+            assert sum(row.get(col, 0) for row in rows) == 0
 
     @given(seeds)
     def test_composition_is_zero(self, seed):
         c = SimplicialComplex(helpers.random_face_family(seed))
-        mats = boundary_matrices(c)
-        for lower, upper in zip(mats, mats[1:]):
-            a, b = lower.to_dense(), upper.to_dense()
-            for i in range(lower.rows):
-                for j in range(upper.cols):
-                    assert sum(a[i][k] * b[k][j] for k in range(lower.cols)) == 0
-
-    def test_triplet_text(self):
-        mats = boundary_matrices(complex_of([(0, 1)]))
-        text = mats[1].triplet_text()
-        assert text.splitlines()[0] == "2 1"
+        maps = [_boundary_rows(c.faces(k - 1), c.faces(k)) for k in range(0, c.dim + 1)]
+        for k in range(1, c.dim + 1):
+            lower, upper = maps[k - 1], maps[k]
+            for row in lower:
+                for j in range(len(c.faces(k))):
+                    assert sum(v * upper[m].get(j, 0) for m, v in row.items()) == 0
 
 
 class TestReducedHomology:
@@ -202,8 +220,7 @@ class TestRankRoutines:
         rows = [{c: v for c, v in enumerate(row) if v} for row in dense]
         for p in (0, 2, 5):
             expected = helpers.rank_oracle(dense, p)
-            assert _rank_dense([dict(r) for r in rows], ncols, p) == expected
-            assert _rank_sparse([dict(r) for r in rows], ncols, p) == expected
+            assert _matrix_rank([dict(r) for r in rows], ncols, p) == expected
 
     def test_wide_matrix_goes_sparse(self):
         rng = random.Random(0)

@@ -9,6 +9,7 @@ from monores import (
     buchberger_complex,
     buchberger_degree_poset,
     crosscut_complex,
+    divides,
     is_buchberger_degree,
     lcm_lattice,
     minimalize,
@@ -16,7 +17,6 @@ from monores import (
     order_complex,
     reduced_homology,
 )
-from monores.posets import poset_to_json_dict
 
 seeds = st.integers(0, 10_000)
 
@@ -45,16 +45,6 @@ class TestFinitePoset:
         with pytest.raises(ValueError):
             FinitePoset([1, 1], lambda a, b: a <= b)
 
-    def test_covers(self):
-        poset = FinitePoset([1, 2, 3, 6], lambda a, b: b % a == 0)
-        assert poset.covers() == [(0, 1), (0, 2), (1, 3), (2, 3)]
-
-    def test_json_shape(self):
-        poset = FinitePoset([(0, 1), (1, 1)], lambda a, b: all(x <= y for x, y in zip(a, b)))
-        data = poset_to_json_dict(poset)
-        assert data["elements"] == [[0, 1], [1, 1]]
-        assert data["cover_relations"] == [[0, 1]]
-
 
 class TestLcmLattice:
     def test_principal_ideal(self):
@@ -80,7 +70,7 @@ class TestLcmLattice:
         rng = random.Random(seed)
         for _ in range(10):
             a, b = rng.choice(elems), rng.choice(elems)
-            assert lattice.join(a, b) in lattice
+            assert tuple(map(max, a, b)) in lattice
 
     def test_cap(self):
         ideal = helpers.ideal_from_seed(11, 5, 7, 6)
@@ -138,6 +128,18 @@ class TestBuchbergerDegrees:
         for m in lattice.elements:
             if any(m):
                 assert (m in poset_elements) == is_buchberger_degree(ideal, m, lattice=lattice)
+
+    @given(seeds)
+    def test_is_lower_order_ideal(self, seed):
+        # proper divisibility passes down, so no lattice element below a
+        # Buchberger degree is left out
+        ideal = helpers.ideal_from_seed(seed, 4, 5, 4)
+        lattice = lcm_lattice(ideal)
+        degrees = set(buchberger_degree_poset(ideal, lattice=lattice).elements)
+        for e in degrees:
+            for below in lattice.elements:
+                if any(below) and divides(below, e):
+                    assert below in degrees
 
 
 class TestAgreementPoset:
