@@ -62,6 +62,7 @@ from .posets import (
     agreement_poset,
     buchberger_degree_poset,
     crosscut_complex,
+    interval_crosscut,
     is_buchberger_degree,
     lcm_lattice,
     open_interval,

@@ -36,8 +36,15 @@ class FinitePoset:
         if eager:
             for i in range(n):
                 self.up_mask(i)
-            for j in range(n):
-                self.down_mask(j)
+            # i <= j sets bit j of up[i] and bit i of down[j]: transpose
+            down = [0] * n
+            for i, up in enumerate(self._up):
+                bit = 1 << i
+                while up:
+                    low = up & -up
+                    down[low.bit_length() - 1] |= bit
+                    up ^= low
+            self._down = down
         if validate and eager:
             self._check_axioms(n)
 
@@ -133,13 +140,59 @@ def lcm_lattice(ideal: MonomialIdeal, *, max_elements: int = LATTICE_CAP) -> Lcm
     return LcmLattice(ideal.nvars, elements)
 
 
-def open_interval(lattice: LcmLattice, m) -> FinitePoset:
-    """Lattice elements strictly between 1 and m under divisibility."""
-    m = tuple(m)
+def _interval_elements(lattice: LcmLattice, m: Multidegree) -> list[Multidegree]:
     if m not in lattice:
         raise ValueError(f"{m} is not an lcm-lattice element")
-    elems = [e for e in lattice.elements if any(e) and e != m and divides(e, m)]
-    return FinitePoset(elems, divides)
+    return [e for e in lattice.elements if any(e) and e != m and divides(e, m)]
+
+
+def open_interval(lattice: LcmLattice, m) -> FinitePoset:
+    """Lattice elements strictly between 1 and m under divisibility."""
+    return FinitePoset(_interval_elements(lattice, tuple(m)), divides)
+
+
+def interval_crosscut(
+    ideal: MonomialIdeal, m, *, max_faces: int = CHAIN_CAP
+) -> SimplicialComplex:
+    """Atom crosscut of the lcm-lattice interval [1, m], on generator indices.
+
+    The atoms of [1, m] are the generators dividing m; the faces are the atom
+    sets whose lcm is not m.  By the crosscut theorem this complex is
+    homotopy equivalent to the order complex of the open interval (1, m), and
+    it has at most 2^(atoms) faces however many lattice elements lie below m.
+
+    Faces grow one vertex at a time carrying the variables where the running
+    lcm already reaches m; the lcm is m exactly when that set is all of them,
+    and a set that falls short keeps falling short on every subset.
+    """
+    m = tuple(m)
+    full = (1 << ideal.nvars) - 1
+    atoms = [
+        (v, sum(1 << i for i, (a, b) in enumerate(zip(g, m)) if a == b))
+        for v, g in enumerate(ideal.generators)
+        if divides(g, m)
+    ]
+    reached = 0
+    for _, agree in atoms:
+        reached |= agree
+    if reached != full:
+        raise ValueError(f"{m} is not an lcm-lattice element")
+    faces: list[tuple[int, ...]] = []
+    frontier = [((), 0, 0)]
+    count = 0
+    while frontier:
+        faces.extend(f for f, _, _ in frontier)
+        count += len(frontier)
+        if count > max_faces:
+            raise CapExceededError(f"interval crosscut face count exceeds cap {max_faces}")
+        grown = []
+        for face, agree, start in frontier:
+            for p in range(start, len(atoms)):
+                v, more = atoms[p]
+                if agree | more != full:
+                    grown.append((face + (v,), agree | more, p + 1))
+        frontier = grown
+    return SimplicialComplex(faces, validate=False)
 
 
 def is_buchberger_degree(ideal: MonomialIdeal, m, *, lattice: LcmLattice | None = None) -> bool:
@@ -177,11 +230,10 @@ def agreement_poset(
     indices where its exponent equals the one of m.
     """
     lattice = lattice or lcm_lattice(ideal)
-    interval = open_interval(lattice, m)
     m = tuple(m)
     sets = {
         frozenset(i for i, (a, b) in enumerate(zip(e, m)) if a == b)
-        for e in interval.elements
+        for e in _interval_elements(lattice, m)
     }
     elems = sorted(sets, key=lambda s: (len(s), sorted(s)))
     return FinitePoset(elems, frozenset.issubset)

@@ -48,6 +48,7 @@ from .posets import (
     agreement_poset,
     buchberger_degree_poset,
     crosscut_complex,
+    interval_crosscut,
     is_buchberger_degree,
     lcm_lattice,
     open_interval,
@@ -533,11 +534,12 @@ def lemma_battery(
 ) -> tuple[VerificationReport, ...]:
     """Homology-level checks behind the support theorem, one report per field.
 
-    Intervals below degrees with a properly dividing generator are acyclic,
-    the degree poset's order complex is acyclic, the crosscut complex of the
-    generators inside it equals the Buchberger complex, and the Buchberger
-    complex itself is acyclic.  Every complex is built once and checked over
-    all fields before the next one is built.
+    Intervals below degrees with a properly dividing generator are acyclic
+    (read on the atom crosscut of [1, m], which ``max_faces`` bounds), the
+    degree poset's order complex is acyclic (``max_chains`` bounds it), the
+    crosscut complex of the generators inside it equals the Buchberger
+    complex, and the Buchberger complex itself is acyclic.  Every complex is
+    built once and checked over all fields before the next one is built.
     """
     gens = ideal.generators
     if lattice is None:
@@ -546,9 +548,9 @@ def lemma_battery(
     for m in lattice.elements:
         if not any(m) or not any(properly_divides(g, m) for g in gens):
             continue
-        oc = order_complex(open_interval(lattice, m), max_chains=max_chains)
+        gamma = interval_crosscut(ideal, m, max_faces=max_faces)
         for f, found in zip(fields, interval_failures):
-            if not is_acyclic(oc, f):
+            if not is_acyclic(gamma, f):
                 found.append(list(m))
     degree_poset = buchberger_degree_poset(ideal, lattice=lattice)
     oc = order_complex(degree_poset, max_chains=max_chains)

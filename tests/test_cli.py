@@ -169,6 +169,19 @@ class TestVerifyCommand:
         assert code == 0
         assert "PASS" in out
 
+    def test_thirteen_generators_pass(self, capsys):
+        # the chains of this ideal's covered lattice intervals exceed the chain cap
+        _, ideal_text, _ = run(
+            capsys, ["random", "--vars", "4", "--gens", "60", "--maxdeg", "10", "--seed", "1"]
+        )
+        code, out, _ = run(
+            capsys, ["verify", "--inline", ideal_text, "--fields", "0,2", "--format", "json"]
+        )
+        assert code == 0
+        data = json.loads(out)
+        assert len(data["ideal"]["generators"]) == 13
+        assert data["report"]["all_passed"] is True
+
 
 class TestRandomCommand:
     def test_deterministic(self, capsys):
@@ -313,6 +326,16 @@ class TestBuildCounts:
         assert code == 0
         assert len(complexes_built) == 1
         assert len(lattices_built) == 1
+
+    def test_verify_lists_chains_of_the_degree_poset_only(self, capsys, monkeypatch):
+        from monores import posets
+
+        intervals = count_calls(monkeypatch, posets, "open_interval")
+        order_complexes = count_calls(monkeypatch, posets, "order_complex")
+        code, _, _ = run(capsys, ["verify", "--inline", EXAMPLE_TEXT, "--fields", "0,2"])
+        assert code == 0
+        assert len(intervals) == 0
+        assert len(order_complexes) == 1
 
     def test_conjecture_trial_collapses_once(self, monkeypatch):
         from monores import homology

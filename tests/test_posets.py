@@ -4,12 +4,15 @@ from hypothesis import given, strategies as st
 import helpers
 from monores import (
     CapExceededError,
+    FieldSpec,
     FinitePoset,
+    SimplicialComplex,
     agreement_poset,
     buchberger_complex,
     buchberger_degree_poset,
     crosscut_complex,
     divides,
+    interval_crosscut,
     is_buchberger_degree,
     lcm_lattice,
     minimalize,
@@ -44,6 +47,14 @@ class TestFinitePoset:
     def test_duplicate_elements_rejected(self):
         with pytest.raises(ValueError):
             FinitePoset([1, 1], lambda a, b: a <= b)
+
+    @given(seeds)
+    def test_down_masks_match_comparator(self, seed):
+        elements = lcm_lattice(helpers.ideal_from_seed(seed, 3, 5, 3)).elements
+        poset = FinitePoset(elements, divides)
+        for j, b in enumerate(elements):
+            expected = sum(1 << i for i, a in enumerate(elements) if divides(a, b))
+            assert poset.down_mask(j) == expected
 
 
 class TestLcmLattice:
@@ -151,6 +162,10 @@ class TestAgreementPoset:
         poset = agreement_poset(xy_ideal(), (2, 2))
         assert set(poset.elements) == {frozenset(), frozenset({0}), frozenset({1})}
 
+    def test_membership_error(self):
+        with pytest.raises(ValueError, match="not an lcm-lattice element"):
+            agreement_poset(xy_ideal(), (9, 9))
+
     @given(seeds)
     def test_homology_matches_interval(self, seed):
         ideal = helpers.ideal_from_seed(seed, 3, 4, 3)
@@ -166,6 +181,43 @@ class TestAgreementPoset:
 def _padded_equal(x, y):
     n = max(len(x), len(y))
     return tuple(x) + (0,) * (n - len(x)) == tuple(y) + (0,) * (n - len(y))
+
+
+class TestIntervalCrosscut:
+    @given(seeds, st.integers(2, 8))
+    def test_ranks_match_interval_order_complex(self, seed, ngens):
+        # the first generators of a larger minimal draw, so 8 are reached
+        ideal = minimalize(4, helpers.ideal_from_seed(seed, 4, 24, 4).generators[:ngens])
+        lattice = lcm_lattice(ideal)
+        for m in lattice.elements:
+            if not any(m):
+                continue
+            gamma = interval_crosscut(ideal, m)
+            SimplicialComplex(gamma.face_set(), validate=True)  # downward closed
+            oc = order_complex(open_interval(lattice, m))
+            for f in (FieldSpec(0), FieldSpec(2)):
+                assert _padded_equal(
+                    reduced_homology(gamma, f).ranks, reduced_homology(oc, f).ranks
+                )
+
+    def test_faces_are_atom_sets_short_of_m(self):
+        gamma = interval_crosscut(xy_ideal(), (2, 2))
+        # generators 0..2 are y^2, xy, x^2; only y^2 and x^2 together reach x^2y^2
+        assert gamma.face_set() == {(), (0,), (1,), (2,), (0, 1), (1, 2)}
+
+    def test_generator_gives_empty_complex(self):
+        ideal = example_ideal()
+        for g in ideal.generators:
+            assert interval_crosscut(ideal, g).face_set() == {()}
+
+    def test_cap(self):
+        with pytest.raises(CapExceededError, match="cap 3"):
+            interval_crosscut(xy_ideal(), (2, 2), max_faces=3)
+
+    @pytest.mark.parametrize("m", [(9, 9), (1, 0), (3, 3)])
+    def test_membership_error(self, m):
+        with pytest.raises(ValueError, match="not an lcm-lattice element"):
+            interval_crosscut(xy_ideal(), m)
 
 
 class TestOrderComplex:
