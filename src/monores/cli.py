@@ -10,6 +10,7 @@ precondition.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 import time
@@ -518,8 +519,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """One parser per process: parsing leaves no state in it."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.fn(args)
     except ParseError as exc:

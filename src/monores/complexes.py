@@ -10,8 +10,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import chain, combinations
 
-import networkx as nx
-
 from .errors import CapExceededError
 from .homology import collapsed_core
 from .monomials import (
@@ -191,7 +189,8 @@ def buchberger_complex(
                     continue
                 grown.append((face + (w,), lab))
         frontier = grown
-    return LabeledComplex(ideal, out)
+    # sorted and downward closed by construction
+    return LabeledComplex(ideal, out, validate=False)
 
 
 def _scarf_faces(bu: LabeledComplex) -> list[Face]:
@@ -263,7 +262,8 @@ def clique_complex(
                 if adj[w] & mask == mask:
                     grown.append((face + (w,), mask | 1 << w))
         frontier = grown
-    return LabeledComplex(ideal, out)
+    # sorted and downward closed by construction
+    return LabeledComplex(ideal, out, validate=False)
 
 
 def skeleton(complex_: SimplicialComplex, k: int) -> SimplicialComplex:
@@ -306,12 +306,18 @@ def is_connected(graph: SimpleGraph) -> bool:
 
 
 def is_planar(graph: SimpleGraph) -> bool:
-    """Planarity, pre-filtered by the edge-count bound e <= 3v - 6."""
+    """Planarity, pre-filtered by the edge-count bound e <= 3v - 6.
+
+    networkx is imported here, past the early exits, so importing the
+    package and running every other command never loads it.
+    """
     v, e = graph.vertex_count, len(graph.edges)
     if v < 5:
         return True
     if e > 3 * v - 6:
         return False
+    import networkx as nx
+
     g = nx.Graph()
     g.add_nodes_from(range(v))
     g.add_edges_from(graph.edges)

@@ -13,6 +13,7 @@ import random
 import re
 import warnings
 from dataclasses import dataclass
+from operator import le
 
 from .errors import GenerationError, ParseError
 
@@ -30,11 +31,11 @@ class DroppedGeneratorsWarning(UserWarning):
 
 
 def _as_multidegree(value, nvars: int | None = None) -> Multidegree:
-    v = tuple(int(e) for e in value)
+    v = tuple(map(int, value))
     for e in v:
-        if e < 0:
-            raise ValueError(f"negative exponent {e}")
-        if e > EXPONENT_LIMIT:
+        if not 0 <= e <= EXPONENT_LIMIT:
+            if e < 0:
+                raise ValueError(f"negative exponent {e}")
             raise ValueError(f"exponent {e} exceeds limit {EXPONENT_LIMIT}")
     if nvars is not None and len(v) != nvars:
         raise ValueError(f"expected {nvars} exponents, got {len(v)}")
@@ -49,7 +50,12 @@ def _same_length(a, b) -> None:
 def divides(a: Multidegree, b: Multidegree) -> bool:
     """Componentwise a_i <= b_i."""
     _same_length(a, b)
-    return all(x <= y for x, y in zip(a, b))
+    return _divides(a, b)
+
+
+def _divides(a: Multidegree, b: Multidegree) -> bool:
+    """``divides`` for vectors whose common length is already validated."""
+    return all(map(le, a, b))
 
 
 def properly_divides(a: Multidegree, b: Multidegree) -> bool:
@@ -101,9 +107,10 @@ class MonomialIdeal:
         for i in range(1, len(gens)):
             if not gens[i - 1] < gens[i]:
                 raise ValueError("generators must be strictly sorted in canonical order")
+        # in the sorted order a proper divisor comes first, so i < j suffices
         for i, g in enumerate(gens):
-            for j, h in enumerate(gens):
-                if i != j and divides(g, h):
+            for h in gens[i + 1:]:
+                if _divides(g, h):
                     raise ValueError(f"{g} divides {h}: not a minimal generating set")
 
     @property
@@ -116,16 +123,22 @@ class MonomialIdeal:
 
 
 def minimalize(nvars: int, vectors) -> MonomialIdeal:
-    """Deduplicate, drop divisibility-dominated vectors, and sort canonically."""
-    vs = sorted({_as_multidegree(v, nvars) for v in vectors})
-    keep = [v for v in vs if not any(u is not v and divides(u, v) for u in vs)]
+    """Deduplicate, drop divisibility-dominated vectors, and sort canonically.
+
+    A proper divisor sorts first, and a dropped vector has a kept divisor, so
+    each vector is tested against the vectors kept before it only.
+    """
+    keep: list[Multidegree] = []
+    for v in sorted({_as_multidegree(v, nvars) for v in vectors}):
+        if not any(_divides(u, v) for u in keep):
+            keep.append(v)
     return MonomialIdeal(nvars, tuple(keep))
 
 
 def restrict(ideal: MonomialIdeal, m: Multidegree) -> MonomialIdeal:
     """The subideal generated by the generators dividing m (automatically minimal)."""
     m = _as_multidegree(m, ideal.nvars)
-    return MonomialIdeal(ideal.nvars, tuple(g for g in ideal.generators if divides(g, m)))
+    return MonomialIdeal(ideal.nvars, tuple(g for g in ideal.generators if _divides(g, m)))
 
 
 def is_strongly_generic(ideal: MonomialIdeal) -> bool:
@@ -167,7 +180,7 @@ def ibar_extend(ideal: MonomialIdeal, bound, cofactor) -> MonomialIdeal:
     if not cof:
         raise ValueError("need at least one new variable")
     for g in ideal.generators:
-        if not divides(g, bound):
+        if not _divides(g, bound):
             raise ValueError(f"generator {g} does not divide the bounding degree {bound}")
     pad = (0,) * len(cof)
     vectors = [g + pad for g in ideal.generators]

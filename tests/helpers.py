@@ -36,6 +36,17 @@ def buchberger_oracle(ideal):
     return set(faces)
 
 
+def clique_oracle(graph):
+    """All vertex subsets whose pairs are all edges."""
+    n = graph.vertex_count
+    return {
+        subset
+        for k in range(n + 1)
+        for subset in combinations(range(n), k)
+        if all(graph.has_edge(i, j) for i, j in combinations(subset, 2))
+    }
+
+
 def scarf_oracle(ideal):
     """All subsets whose lcm is attained by no other subset."""
     gens = ideal.generators

@@ -1,5 +1,8 @@
 import json
+import os
+import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -337,6 +340,16 @@ class TestBuildCounts:
         assert len(intervals) == 0
         assert len(order_complexes) == 1
 
+    def test_two_calls_build_the_parser_once(self, capsys, monkeypatch):
+        from monores import cli
+
+        cli._parser.cache_clear()
+        parsers_built = count_calls(monkeypatch, cli, "build_parser")
+        for _ in range(2):
+            code, _, _ = run(capsys, ["mingens", "--inline", EXAMPLE_TEXT])
+            assert code == 0
+        assert len(parsers_built) == 1
+
     def test_conjecture_trial_collapses_once(self, monkeypatch):
         from monores import homology
 
@@ -361,3 +374,50 @@ class TestSeedDerivation:
         b = run_conjecture_trial(spec, fields)
         assert a.verdict == b.verdict
         assert a.checks == b.checks
+
+
+class TestOneProcess:
+    def test_import_leaves_networkx_unloaded_until_planarity_needs_it(self):
+        # K5 and K4 are decided by the early exits of is_planar; K3,3 passes
+        # the edge bound and needs the real planarity test
+        probe = """
+import sys
+import monores, monores.cli
+assert "networkx" not in sys.modules
+from monores import SimpleGraph, is_planar
+full = lambda n: frozenset((i, j) for i in range(n) for j in range(i + 1, n))
+assert not is_planar(SimpleGraph(5, full(5)))
+assert is_planar(SimpleGraph(4, full(4)))
+assert "networkx" not in sys.modules
+assert not is_planar(SimpleGraph(6, frozenset((i, j) for i in range(3) for j in range(3, 6))))
+assert "networkx" in sys.modules
+"""
+        import monores
+
+        src = str(Path(monores.__file__).resolve().parents[1])
+        result = subprocess.run(
+            [sys.executable, "-c", probe], env=dict(os.environ, PYTHONPATH=src),
+            capture_output=True, text=True, timeout=120,
+        )
+        assert result.returncode == 0, result.stderr
+
+    def test_calls_in_sequence_do_not_interfere(self, capsys, example_file, squarefree_file):
+        verify = ["verify", example_file, "--fields", "0,2", "--format", "json"]
+        code, first, _ = run(capsys, verify)
+        assert code == 0
+        code, _, _ = run(capsys, ["betti", squarefree_file, "--method", "agreement"])
+        assert code == 0
+        try:
+            code = main(["verify", example_file, "--no-such-flag"])
+        except SystemExit as exc:
+            code = exc.code
+        assert code == 2
+        capsys.readouterr()
+        code, _, _ = run(capsys, [
+            "conjecture", "--vars", "3", "--gens", "4", "--maxdeg", "3",
+            "--trials", "2", "--format", "json",
+        ])
+        assert code == 0
+        code, again, _ = run(capsys, verify)
+        assert code == 0
+        assert again == first

@@ -187,6 +187,21 @@ class TestTaylorAndClique:
         cl = clique_complex(graph, ideal)
         assert cl.dim == 1
 
+    @pytest.mark.parametrize("nvars, ngens, maxdeg", [(3, 6, 3), (4, 8, 4), (5, 10, 5)])
+    def test_built_without_validation_are_closed_and_exact(self, nvars, ngens, maxdeg):
+        # both builders skip the downward-closure check; re-run it here and
+        # compare with brute-force subset scans
+        for seed in range(25):
+            ideal = helpers.ideal_from_seed(seed, nvars, ngens, maxdeg)
+            graph = buchberger_graph(ideal)
+            for built, oracle in [
+                (buchberger_complex(ideal), helpers.buchberger_oracle(ideal)),
+                (clique_complex(graph, ideal), helpers.clique_oracle(graph)),
+            ]:
+                faces = built.face_set()
+                assert SimplicialComplex(faces, validate=True).face_set() == faces
+                assert faces == oracle
+
     @given(seeds)
     def test_inclusion_chain(self, seed):
         ideal = helpers.ideal_from_seed(seed, 4, 5, 4)

@@ -99,10 +99,28 @@ class TestMinimalize:
     def test_against_oracle(self):
         import random
 
-        rng = random.Random(7)
-        raw = [tuple(rng.randint(0, 4) for _ in range(4)) for _ in range(50)]
-        raw = [v for v in raw if any(v)]
-        assert list(minimalize(4, raw).generators) == helpers.minimalize_oracle(raw)
+        for seed in range(7, 57):
+            rng = random.Random(seed)
+            raw = [tuple(rng.randint(0, 4) for _ in range(4)) for _ in range(seed)]
+            raw = [v for v in raw if any(v)]
+            raw += raw[: seed // 3]
+            assert list(minimalize(4, raw).generators) == helpers.minimalize_oracle(raw)
+
+    @given(st.lists(st.lists(st.integers(0, 3), min_size=3, max_size=3), min_size=2, max_size=8))
+    def test_non_minimal_error_names_first_pair(self, raw):
+        gens = sorted({tuple(v) for v in raw if any(v)})
+        # the first pair in row-major order over all ordered pairs i != j
+        first = next(
+            ((g, h) for i, g in enumerate(gens) for j, h in enumerate(gens)
+             if i != j and divides(g, h)),
+            None,
+        )
+        if first is None:
+            assert MonomialIdeal(3, tuple(gens)).generators == tuple(gens)
+            return
+        with pytest.raises(ValueError) as info:
+            MonomialIdeal(3, tuple(gens))
+        assert str(info.value) == f"{first[0]} divides {first[1]}: not a minimal generating set"
 
     def test_unit_ideal_rejected(self):
         with pytest.raises(ValueError, match="unit ideal"):
