@@ -20,7 +20,6 @@ from .complexes import (
     is_connected,
     is_planar,
     scarf_complex,
-    skeleton,
     subcomplex_dividing,
     taylor_complex,
 )

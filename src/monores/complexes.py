@@ -1,8 +1,9 @@
 """Labeled simplicial complexes attached to a monomial ideal.
 
-Faces are strictly increasing tuples of generator indices; every complex
-stores the empty face.  Labels are lcms of the vertex generators, so label
-monotonicity along inclusions holds by construction.
+A complex stores its faces as vertex bitmasks and always contains the empty
+face; faces are read as strictly increasing tuples of vertex indices.
+Labels are lcms of the vertex generators, so label monotonicity along
+inclusions holds by construction.
 """
 
 from __future__ import annotations
@@ -11,7 +12,7 @@ from dataclasses import dataclass
 from itertools import chain, combinations
 
 from .errors import CapExceededError
-from .homology import collapsed_core
+from .homology import _faces_by_dim, collapsed_core, face_mask, mask_face
 from .monomials import (
     Multidegree,
     MonomialIdeal,
@@ -30,12 +31,19 @@ CLIQUE_CAP = 1 << 18
 
 
 class SimplicialComplex:
-    """Downward-closed family of sorted vertex tuples."""
+    """Downward-closed family of faces, stored as vertex bitmasks.
 
-    __slots__ = ("_by_dim", "_face_set", "_core")
+    Bit v of a mask is vertex v.  The store holds the nonempty faces; the
+    empty face is always present and counted by ``len``.  Sorted vertex
+    tuples exist only for callers that print, label or compare faces: a
+    complex built from tuples keeps them, one built from masks makes them on
+    first use.
+    """
+
+    __slots__ = ("_masks", "_dim", "_by_dim", "_face_set", "_core")
 
     def __init__(self, faces, *, validate: bool = True):
-        seen = set()
+        seen = {()}
         for f in faces:
             t = tuple(f)
             if validate:
@@ -44,32 +52,46 @@ class SimplicialComplex:
                 if any(t[i] >= t[i + 1] for i in range(len(t) - 1)):
                     raise ValueError(f"face {t} is not strictly sorted")
             seen.add(t)
-        seen.add(())
         if validate:
             for f in seen:
                 for i in range(len(f)):
                     if f[:i] + f[i + 1:] not in seen:
                         raise ValueError(f"not downward closed: {f} lacks a facet")
-        by_dim: dict[int, list[Face]] = {}
-        for f in seen:
-            by_dim.setdefault(len(f) - 1, []).append(f)
-        self._by_dim = {k: tuple(sorted(v)) for k, v in by_dim.items()}
-        self._face_set = frozenset(seen)
-        self._core = None
+        self._masks = frozenset(face_mask(t) for t in seen if t)
+        self._by_dim = _faces_by_dim(seen)
+        self._dim = self._face_set = self._core = None
+
+    @classmethod
+    def from_masks(cls, masks) -> SimplicialComplex:
+        """A complex from the bitmasks of its nonempty faces, downward closed."""
+        complex_ = cls.__new__(cls)
+        complex_._masks = frozenset(masks)
+        complex_._dim = complex_._by_dim = complex_._face_set = complex_._core = None
+        return complex_
 
     @property
     def dim(self) -> int:
-        return max(self._by_dim)
+        if self._dim is None:
+            self._dim = max(map(int.bit_count, self._masks), default=0) - 1
+        return self._dim
+
+    def _tuples(self) -> dict[int, tuple[Face, ...]]:
+        if self._by_dim is None:
+            self._by_dim = _faces_by_dim([()] + [mask_face(m) for m in self._masks])
+        return self._by_dim
 
     def faces(self, k: int) -> tuple[Face, ...]:
         """Faces of dimension k in canonical (lexicographic) order."""
-        return self._by_dim.get(k, ())
+        return self._tuples().get(k, ())
 
     def all_faces(self):
-        for k in sorted(self._by_dim):
-            yield from self._by_dim[k]
+        by_dim = self._tuples()
+        for k in sorted(by_dim):
+            yield from by_dim[k]
 
     def face_set(self) -> frozenset[Face]:
+        if self._face_set is None:
+            self._face_set = frozenset(self.all_faces())
         return self._face_set
 
     def core(self) -> frozenset[Face]:
@@ -79,19 +101,16 @@ class SimplicialComplex:
         once however many fields it is checked over.
         """
         if self._core is None:
-            self._core = frozenset(collapsed_core(self._face_set))
+            self._core = frozenset(collapsed_core(self._masks))
         return self._core
 
-    def has_face(self, f) -> bool:
-        return tuple(f) in self._face_set
-
     def __len__(self) -> int:
-        return len(self._face_set)
+        return len(self._masks) + 1
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, SimplicialComplex):
             return NotImplemented
-        return self._face_set == other._face_set
+        return self._masks == other._masks
 
     __hash__ = None
 
@@ -264,16 +283,6 @@ def clique_complex(
         frontier = grown
     # sorted and downward closed by construction
     return LabeledComplex(ideal, out, validate=False)
-
-
-def skeleton(complex_: SimplicialComplex, k: int) -> SimplicialComplex:
-    """Faces of dimension at most k."""
-    if k < -1:
-        raise ValueError("skeleton dimension must be >= -1")
-    faces = [f for d in range(-1, min(k, complex_.dim) + 1) for f in complex_.faces(d)]
-    if isinstance(complex_, LabeledComplex):
-        return LabeledComplex(complex_.ideal, faces, validate=False)
-    return SimplicialComplex(faces, validate=False)
 
 
 def subcomplex_dividing(complex_: LabeledComplex, m) -> LabeledComplex:

@@ -97,43 +97,67 @@ class IntegralHomology:
 # ---------------------------------------------------------------------------
 # elementary collapses
 
+def face_mask(face) -> int:
+    """The vertex bitmask of a face: bit v is set when v is a vertex."""
+    m = 0
+    for v in face:
+        m |= 1 << v
+    return m
+
+
+def mask_face(m: int) -> tuple[int, ...]:
+    """The sorted vertex tuple of a vertex bitmask."""
+    out = []
+    while m:
+        low = m & -m
+        out.append(low.bit_length() - 1)
+        m ^= low
+    return tuple(out)
+
+
 def collapsed_core(faces) -> set[tuple[int, ...]]:
     """Greedily remove free face / unique-coface pairs.
 
-    A nonempty face with exactly one face directly above it is removable
-    together with that coface; the result is homotopy equivalent to the
-    input.  Incidence counts are maintained incrementally and candidates are
-    processed in a fixed order, so the core is deterministic.
+    ``faces`` are the nonempty faces as vertex bitmasks.  A face's coface
+    mask holds the vertices that extend it to a present face; a nonempty
+    face is free when that mask has one bit, and it goes together with its
+    coface, which keeps the homotopy type.  Candidates are taken in a fixed
+    order (free faces by decreasing size, then lexicographically, then as
+    removals free them), so the core is deterministic.  It is returned as
+    sorted vertex tuples, the empty face included.
     """
-    present = {tuple(f) for f in faces}
-    present.add(())
-    cofaces: dict[tuple[int, ...], set[int]] = {f: set() for f in present}
-    for f in present:
-        for p in range(len(f)):
-            cofaces[f[:p] + f[p + 1:]].add(f[p])
-    queue = deque(
-        sorted(
-            (f for f in present if f and len(cofaces[f]) == 1),
-            key=lambda f: (-len(f), f),
-        )
-    )
+    # the keys are the faces still present
+    cofaces = dict.fromkeys(faces, 0)
+    cofaces[0] = 0
+    for f in cofaces:
+        rest = f
+        while rest:
+            low = rest & -rest
+            cofaces[f ^ low] |= low
+            rest ^= low
+    free = [f for f, c in cofaces.items() if f and c and not c & (c - 1)]
+    queue = deque(sorted(free, key=lambda f: (-f.bit_count(), mask_face(f))))
     while queue:
         f = queue.popleft()
-        if f not in present or len(cofaces[f]) != 1:
+        c = cofaces.get(f)
+        if not c or c & (c - 1):
             continue
-        (v,) = cofaces[f]
-        g = tuple(sorted(f + (v,)))
-        present.discard(f)
-        present.discard(g)
+        g = f | c
+        del cofaces[f], cofaces[g]
         for removed in (g, f):
-            for p in range(len(removed)):
-                facet = removed[:p] + removed[p + 1:]
-                if facet in present:
-                    s = cofaces[facet]
-                    s.discard(removed[p])
-                    if len(s) == 1 and facet:
+            rest = removed
+            while rest:
+                low = rest & -rest
+                rest ^= low
+                facet = removed ^ low
+                s = cofaces.get(facet)
+                if s is not None:
+                    # removed was present, so its vertex is in facet's mask
+                    s ^= low
+                    cofaces[facet] = s
+                    if facet and s and not s & (s - 1):
                         queue.append(facet)
-    return present
+    return {mask_face(f) for f in cofaces}
 
 
 # ---------------------------------------------------------------------------
@@ -177,13 +201,12 @@ def _matrix_rank(rows: list[dict[int, int]], ncols: int, p: int) -> int:
     return rank
 
 
-def _faces_by_dim(faces) -> dict[int, list[tuple[int, ...]]]:
+def _faces_by_dim(faces) -> dict[int, tuple[tuple[int, ...], ...]]:
+    """Sorted vertex tuples grouped by dimension."""
     by_dim: dict[int, list[tuple[int, ...]]] = {}
     for f in faces:
         by_dim.setdefault(len(f) - 1, []).append(f)
-    for k in by_dim:
-        by_dim[k].sort()
-    return by_dim
+    return {k: tuple(sorted(v)) for k, v in by_dim.items()}
 
 
 def _boundary_rows(lower: list, upper: list) -> list[dict[int, int]]:

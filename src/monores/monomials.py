@@ -126,13 +126,23 @@ def minimalize(nvars: int, vectors) -> MonomialIdeal:
     """Deduplicate, drop divisibility-dominated vectors, and sort canonically.
 
     A proper divisor sorts first, and a dropped vector has a kept divisor, so
-    each vector is tested against the vectors kept before it only.
+    each vector is tested against the vectors kept before it only.  The kept
+    vectors are sorted, validated and minimal by construction, so the ideal
+    is built without ``MonomialIdeal``'s second validation pass.
     """
     keep: list[Multidegree] = []
     for v in sorted({_as_multidegree(v, nvars) for v in vectors}):
         if not any(_divides(u, v) for u in keep):
             keep.append(v)
-    return MonomialIdeal(nvars, tuple(keep))
+    if nvars < 1:
+        raise ValueError("need at least one variable")
+    # the zero vector sorts first and divides every other one
+    if keep and not any(keep[0]):
+        raise ValueError("unit ideal: the monomial 1 cannot be a generator")
+    ideal = object.__new__(MonomialIdeal)
+    object.__setattr__(ideal, "nvars", nvars)
+    object.__setattr__(ideal, "generators", tuple(keep))
+    return ideal
 
 
 def restrict(ideal: MonomialIdeal, m: Multidegree) -> MonomialIdeal:
@@ -212,6 +222,23 @@ class IdealRandomSpec:
             raise ValueError("strongly-generic mode needs max_degree >= ngens")
 
 
+def _uniform_vector(rng: random.Random, nvars: int, d: int) -> Multidegree:
+    """nvars draws of ``rng.randint(0, d)``, from the same random stream.
+
+    randint draws getrandbits(k), k the bit length of d + 1, until the draw
+    is at most d; this runs that loop without randint's call layers.
+    """
+    k = (d + 1).bit_length()
+    getrandbits = rng.getrandbits
+    out = []
+    for _ in range(nvars):
+        r = getrandbits(k)
+        while r > d:
+            r = getrandbits(k)
+        out.append(r)
+    return tuple(out)
+
+
 def random_ideal(spec: IdealRandomSpec) -> MonomialIdeal:
     """Deterministic function of the seed.
 
@@ -225,9 +252,9 @@ def random_ideal(spec: IdealRandomSpec) -> MonomialIdeal:
     if spec.mode == "arbitrary":
         vectors = []
         for _ in range(spec.ngens):
-            v = tuple(rng.randint(0, spec.max_degree) for _ in range(spec.nvars))
+            v = _uniform_vector(rng, spec.nvars, spec.max_degree)
             while not any(v):
-                v = tuple(rng.randint(0, spec.max_degree) for _ in range(spec.nvars))
+                v = _uniform_vector(rng, spec.nvars, spec.max_degree)
             vectors.append(v)
         return minimalize(spec.nvars, vectors)
 
@@ -240,9 +267,12 @@ def random_ideal(spec: IdealRandomSpec) -> MonomialIdeal:
         rows = [tuple(col[j] for col in cols) for j in range(spec.ngens)]
         if any(not any(row) for row in rows):
             continue
-        candidate = minimalize(spec.nvars, rows)
-        if len(candidate.generators) == spec.ngens and is_strongly_generic(candidate):
-            return candidate
+        # nonzero column values are distinct, so the rows are strongly
+        # generic and distinct, and minimalize drops a row exactly when
+        # another row divides it
+        if any(_divides(a, b) for a in rows for b in rows if a is not b):
+            continue
+        return minimalize(spec.nvars, rows)
     raise GenerationError(
         f"no strongly generic ideal with {spec.ngens} minimal generators found "
         f"in {RETRY_BUDGET} attempts (nvars={spec.nvars}, max_degree={spec.max_degree})"

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 from .complexes import SimplicialComplex
 from .errors import CapExceededError
+from .homology import mask_face
 from .monomials import Multidegree, MonomialIdeal, divides, properly_divides
 
 MATRIX_LIMIT = 4096
@@ -177,8 +178,8 @@ def interval_crosscut(
         reached |= agree
     if reached != full:
         raise ValueError(f"{m} is not an lcm-lattice element")
-    faces: list[tuple[int, ...]] = []
-    frontier = [((), 0, 0)]
+    faces: list[int] = []
+    frontier = [(0, 0, 0)]
     count = 0
     while frontier:
         faces.extend(f for f, _, _ in frontier)
@@ -190,9 +191,9 @@ def interval_crosscut(
             for p in range(start, len(atoms)):
                 v, more = atoms[p]
                 if agree | more != full:
-                    grown.append((face + (v,), agree | more, p + 1))
+                    grown.append((face | 1 << v, agree | more, p + 1))
         frontier = grown
-    return SimplicialComplex(faces, validate=False)
+    return SimplicialComplex.from_masks(faces[1:])
 
 
 def is_buchberger_degree(ideal: MonomialIdeal, m, *, lattice: LcmLattice | None = None) -> bool:
@@ -240,27 +241,25 @@ def agreement_poset(
 
 
 def order_complex(poset: FinitePoset, *, max_chains: int = CHAIN_CAP) -> SimplicialComplex:
-    """All chains of the poset as faces, on the poset's element indices."""
+    """All chains of the poset as faces, on the poset's element indices.
+
+    A chain grows only through the elements strictly above its top, so each
+    chain is listed once, as a vertex bitmask, without sorting.
+    """
     n = len(poset)
-    extension = sorted(range(n), key=lambda i: (bin(poset.down_mask(i)).count("1"), i))
-    position = {v: p for p, v in enumerate(extension)}
-    faces: list[tuple[int, ...]] = [()]
-    frontier = [((v,), position[v]) for v in extension]
+    above = [
+        [(1 << v, v) for v in mask_face(poset.up_mask(i) & ~(1 << i))] for i in range(n)
+    ]
+    faces: list[int] = []
+    frontier = [(1 << i, i) for i in range(n)]
     count = 1
     while frontier:
-        faces.extend(tuple(sorted(c)) for c, _ in frontier)
+        faces.extend(c for c, _ in frontier)
         count += len(frontier)
         if count > max_chains:
             raise CapExceededError(f"chain count exceeds cap {max_chains}")
-        grown = []
-        for chain_, last_pos in frontier:
-            last = chain_[-1]
-            for p in range(last_pos + 1, n):
-                v = extension[p]
-                if v != last and poset.leq(last, v):
-                    grown.append((chain_ + (v,), p))
-        frontier = grown
-    return SimplicialComplex(faces, validate=False)
+        frontier = [(chain_ | bit, v) for chain_, top in frontier for bit, v in above[top]]
+    return SimplicialComplex.from_masks(faces)
 
 
 def crosscut_complex(
@@ -279,20 +278,20 @@ def crosscut_complex(
         raise ValueError("the given elements do not form an antichain")
     ups = [poset.up_mask(a) for a in members]
     downs = [poset.down_mask(a) for a in members]
-    faces: list[tuple[int, ...]] = [()]
-    frontier = [((k,), ups[k], downs[k]) for k in range(len(members))]
+    faces: list[int] = []
+    frontier = [(1 << k, k, ups[k], downs[k]) for k in range(len(members))]
     count = 1
     while frontier:
-        faces.extend(f for f, _, _ in frontier)
+        faces.extend(f for f, _, _, _ in frontier)
         count += len(frontier)
         if count > max_faces:
             raise CapExceededError(f"crosscut face count exceeds cap {max_faces}")
         grown = []
-        for face, up, down in frontier:
-            for k in range(face[-1] + 1, len(members)):
+        for face, last, up, down in frontier:
+            for k in range(last + 1, len(members)):
                 u = up & ups[k]
                 d = down & downs[k]
                 if u or d:
-                    grown.append((face + (k,), u, d))
+                    grown.append((face | 1 << k, k, u, d))
         frontier = grown
-    return SimplicialComplex(faces, validate=False)
+    return SimplicialComplex.from_masks(faces)

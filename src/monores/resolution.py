@@ -559,7 +559,7 @@ def lemma_battery(
     bu = complex_ if complex_ is not None else buchberger_complex(ideal, max_faces=max_faces)
     atoms = [degree_poset.index(g) for g in gens]
     crosscut = crosscut_complex(degree_poset, atoms, max_faces=max_faces)
-    crosscut_matches = crosscut.face_set() == bu.face_set()
+    crosscut_matches = crosscut == bu
     witness = {"ideal": ideal_to_json_dict(ideal)}
     return tuple(
         VerificationReport(

@@ -5,6 +5,7 @@ Fraction-based elimination, kept separate from the library's own algorithms
 so the two routes stay independent.
 """
 
+from collections import deque
 from fractions import Fraction
 from itertools import combinations
 import random
@@ -22,6 +23,39 @@ def minimalize_oracle(vectors):
         if not any(u != v and divides(u, v) for u in vs):
             out.append(v)
     return out
+
+
+def random_ideal_oracle(spec):
+    """The generators ``random_ideal`` drew before its rejection loops were
+    inlined: randint per exponent, and in strongly generic mode a full
+    minimalization and genericity test per draw."""
+    rng = random.Random(spec.seed)
+    if spec.mode == "arbitrary":
+        vectors = []
+        for _ in range(spec.ngens):
+            v = tuple(rng.randint(0, spec.max_degree) for _ in range(spec.nvars))
+            while not any(v):
+                v = tuple(rng.randint(0, spec.max_degree) for _ in range(spec.nvars))
+            vectors.append(v)
+        return tuple(minimalize_oracle(vectors))
+    for _ in range(1000):
+        cols = []
+        for _ in range(spec.nvars):
+            zeros = [rng.random() < 0.15 for _ in range(spec.ngens)]
+            values = iter(rng.sample(range(1, spec.max_degree + 1), spec.ngens - sum(zeros)))
+            cols.append([0 if z else next(values) for z in zeros])
+        rows = [tuple(col[j] for col in cols) for j in range(spec.ngens)]
+        if any(not any(row) for row in rows):
+            continue
+        gens = minimalize_oracle(rows)
+        generic = all(
+            x != y or x == 0
+            for a, b in combinations(gens, 2)
+            for x, y in zip(a, b)
+        )
+        if len(gens) == spec.ngens and generic:
+            return tuple(gens)
+    return None
 
 
 def buchberger_oracle(ideal):
@@ -119,6 +153,54 @@ def homology_oracle(faces, characteristic=0):
             - boundary_rank.get(k + 1, 0)
         )
     return ranks
+
+
+def collapse_oracle(faces):
+    """Elementary collapses on sorted vertex tuples, in the library's order.
+
+    Free faces by decreasing size, then lexicographically, then as removals
+    free them; the core is returned with the empty face.
+    """
+    present = {tuple(f) for f in faces}
+    present.add(())
+    cofaces = {f: set() for f in present}
+    for f in present:
+        for p in range(len(f)):
+            cofaces[f[:p] + f[p + 1:]].add(f[p])
+    queue = deque(
+        sorted(
+            (f for f in present if f and len(cofaces[f]) == 1),
+            key=lambda f: (-len(f), f),
+        )
+    )
+    while queue:
+        f = queue.popleft()
+        if f not in present or len(cofaces[f]) != 1:
+            continue
+        (v,) = cofaces[f]
+        g = tuple(sorted(f + (v,)))
+        present.discard(f)
+        present.discard(g)
+        for removed in (g, f):
+            for p in range(len(removed)):
+                facet = removed[:p] + removed[p + 1:]
+                if facet in present:
+                    s = cofaces[facet]
+                    s.discard(removed[p])
+                    if len(s) == 1 and facet:
+                        queue.append(facet)
+    return present
+
+
+def chains_oracle(poset):
+    """Every chain of the poset, as a sorted index tuple, by subset scans."""
+    n = len(poset)
+    return {
+        subset
+        for k in range(n + 1)
+        for subset in combinations(range(n), k)
+        if all(poset.leq(i, j) or poset.leq(j, i) for i, j in combinations(subset, 2))
+    }
 
 
 def downward_closure(faces):

@@ -235,7 +235,7 @@ def test_criterion_10_structural_property_suites():
                 for face in c.faces(k):
                     for p in range(len(face)):
                         sub = face[:p] + face[p + 1:]
-                        if not c.has_face(sub) or not divides(c.label(sub), c.label(face)):
+                        if sub not in c.face_set() or not divides(c.label(sub), c.label(face)):
                             bad.append(("closure-or-monotonicity", seed))
 
     # Scarf local criterion against the exhaustive oracle, up to 10 generators

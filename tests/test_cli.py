@@ -303,14 +303,16 @@ def count_calls(monkeypatch, module, name):
     """Wrap ``module.name`` in every monores namespace that binds it.
 
     ``cli`` and ``resolution`` import the builders by name, so patching only
-    the defining module would miss their calls.
+    the defining module would miss their calls.  Each call is recorded as
+    its positional arguments and its result.
     """
     original = getattr(module, name)
     calls = []
 
     def counted(*args, **kwargs):
-        calls.append(name)
-        return original(*args, **kwargs)
+        result = original(*args, **kwargs)
+        calls.append((args, result))
+        return result
 
     for mod_name, mod in list(sys.modules.items()):
         if mod_name.split(".")[0] == "monores" and mod.__dict__.get(name) is original:
@@ -359,6 +361,25 @@ class TestBuildCounts:
         )
         assert record.verdict == "consistent"
         assert len(collapses) == 1
+
+    def test_collapse_takes_nonempty_masks_and_returns_tuples(self, monkeypatch, capsys):
+        # the benchmark's tracer hashes the first argument as a frozenset and
+        # counts cells as len(faces) - (() in faces) and len(core) - 1
+        from monores import homology
+
+        seen = count_calls(monkeypatch, homology, "collapsed_core")
+        for argv in (["betti", "--inline", EXAMPLE_TEXT, "--method", "interval"],
+                     ["verify", "--inline", EXAMPLE_TEXT]):
+            code, _, _ = run(capsys, argv)
+            assert code == 0
+        run_conjecture_trial(IdealRandomSpec(4, 7, 4, "arbitrary", 3), homology.DEFAULT_FIELDS)
+        assert seen
+        for (faces,), core in seen:
+            assert type(faces) is frozenset
+            assert all(type(f) is int and f > 0 for f in faces)
+            assert () in core
+            assert all(type(f) is tuple for f in core)
+            assert len(core) - 1 <= len(faces)
 
 
 class TestSeedDerivation:

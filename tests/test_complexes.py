@@ -17,10 +17,12 @@ from monores import (
     IdealRandomSpec,
     restrict,
     scarf_complex,
-    skeleton,
     subcomplex_dividing,
     taylor_complex,
     lcm_lattice,
+    open_interval,
+    order_complex,
+    reduced_homology,
 )
 from monores.complexes import LabeledComplex, graph_to_dot
 
@@ -59,6 +61,27 @@ class TestComplexInvariants:
         c = SimplicialComplex([])
         assert c.dim == -1
         assert c.face_set() == {()}
+
+    @given(seeds)
+    def test_mask_store_matches_tuple_faces(self, seed):
+        faces = helpers.random_face_family(seed, nverts=7, nfacets=5, max_dim=3)
+        built = SimplicialComplex(faces)
+        from_masks = SimplicialComplex.from_masks(sum(1 << v for v in f) for f in faces if f)
+        assert from_masks == built
+        assert (len(from_masks), from_masks.dim) == (len(faces), max(map(len, faces)) - 1)
+        for k in range(-1, built.dim + 1):
+            assert from_masks.faces(k) == built.faces(k) == tuple(
+                sorted(f for f in faces if len(f) == k + 1)
+            )
+        assert list(from_masks.all_faces()) == list(built.all_faces())
+        assert from_masks.face_set() == built.face_set() == frozenset(faces)
+
+    def test_size_dimension_and_homology_build_no_tuples(self):
+        lattice = lcm_lattice(example_ideal())
+        oc = order_complex(open_interval(lattice, lattice.top))
+        assert len(oc) > 1 and oc.dim > 0
+        assert reduced_homology(oc).trivial
+        assert oc._by_dim is None
 
     @given(seeds)
     def test_labels_monotone(self, seed):
@@ -217,13 +240,8 @@ class TestSkeletonAndSubcomplex:
     def test_one_skeleton_is_buchberger_graph(self, seed):
         ideal = helpers.ideal_from_seed(seed, 4, 5, 4)
         bu = buchberger_complex(ideal)
-        edges = {tuple(f) for f in skeleton(bu, 1).faces(1)}
+        edges = set(bu.faces(1))
         assert edges == set(buchberger_graph(ideal).edges)
-
-    def test_skeleton_identity_and_empty(self):
-        bu = buchberger_complex(example_ideal())
-        assert skeleton(bu, bu.dim) == bu
-        assert skeleton(bu, -1).face_set() == {()}
 
     def test_subcomplex_top_and_zero(self):
         ideal = example_ideal()

@@ -1,3 +1,4 @@
+import random
 import warnings
 
 import pytest
@@ -21,7 +22,7 @@ from monores import (
     random_ideal,
     restrict,
 )
-from monores.monomials import DroppedGeneratorsWarning, monomial_to_text
+from monores.monomials import DroppedGeneratorsWarning, _uniform_vector, monomial_to_text
 
 EX_GENERATORS = [(2, 0, 0, 0), (0, 2, 0, 0), (0, 0, 2, 0), (1, 0, 1, 0), (0, 1, 0, 1)]
 
@@ -97,8 +98,6 @@ class TestMinimalize:
         assert set(ideal.generators) == set(EX_GENERATORS)
 
     def test_against_oracle(self):
-        import random
-
         for seed in range(7, 57):
             rng = random.Random(seed)
             raw = [tuple(rng.randint(0, 4) for _ in range(4)) for _ in range(seed)]
@@ -127,6 +126,22 @@ class TestMinimalize:
             minimalize(2, [(0, 0)])
         with pytest.raises(ValueError, match="unit ideal"):
             MonomialIdeal(2, ((0, 0),))
+
+    def test_unit_ideal_rejected_among_others(self):
+        with pytest.raises(ValueError, match="unit ideal"):
+            minimalize(2, [(1, 2), (0, 0), (3, 0)])
+
+    def test_needs_a_variable(self):
+        with pytest.raises(ValueError, match="at least one variable"):
+            minimalize(0, [])
+
+    @given(st.lists(st.lists(st.integers(0, 4), min_size=3, max_size=3), min_size=0, max_size=12))
+    def test_result_passes_constructor_validation(self, raw):
+        # minimalize skips the constructor's checks; its result must pass them
+        raw = [tuple(v) for v in raw if any(v)]
+        ideal = minimalize(3, raw)
+        assert MonomialIdeal(3, ideal.generators) == ideal
+        assert list(ideal.generators) == helpers.minimalize_oracle(raw)
 
     def test_zero_ideal_allowed(self):
         assert MonomialIdeal(3, ()).is_zero
@@ -248,6 +263,24 @@ class TestRandomIdeal:
         for seed in range(100):
             ideal = random_ideal(IdealRandomSpec(4, 6, 5, "arbitrary", seed))
             assert minimalize(4, ideal.generators) == ideal
+
+    @pytest.mark.parametrize("spec", [
+        (4, 8, 12, "arbitrary"), (5, 30, 6, "arbitrary"), (4, 12, 6, "arbitrary"),
+        (3, 5, 1, "arbitrary"), (5, 8, 12, "strongly-generic"), (5, 6, 9, "strongly-generic"),
+        (4, 6, 6, "strongly-generic"), (6, 14, 20, "strongly-generic"),
+    ])
+    def test_same_generators_as_frozen_copy(self, spec):
+        for seed in range(50):
+            full = IdealRandomSpec(*spec, seed=seed)
+            assert random_ideal(full).generators == helpers.random_ideal_oracle(full)
+
+    @given(st.integers(0, 2**64 - 1), st.integers(1, 70), st.integers(1, 6))
+    def test_uniform_vector_is_the_randint_stream(self, seed, d, nvars):
+        ours, theirs = random.Random(seed), random.Random(seed)
+        assert _uniform_vector(ours, nvars, d) == tuple(
+            theirs.randint(0, d) for _ in range(nvars)
+        )
+        assert ours.getstate() == theirs.getstate()
 
     def test_retry_budget_exhausted(self):
         # one variable cannot carry two incomparable monomials

@@ -241,6 +241,20 @@ class TestOrderComplex:
         with pytest.raises(CapExceededError):
             order_complex(poset, max_chains=10)
 
+    @given(st.lists(st.integers(1, 60), min_size=1, max_size=12, unique=True))
+    def test_chains_match_brute_force(self, values):
+        poset = FinitePoset(values, lambda a, b: b % a == 0)
+        assert order_complex(poset).face_set() == helpers.chains_oracle(poset)
+
+    @given(seeds)
+    def test_interval_chains_match_brute_force(self, seed):
+        ideal = helpers.ideal_from_seed(seed, 3, 5, 3)
+        lattice = lcm_lattice(ideal)
+        for m in lattice.elements:
+            interval = open_interval(lattice, m) if any(m) else None
+            if interval is not None and len(interval) <= 14:
+                assert order_complex(interval).face_set() == helpers.chains_oracle(interval)
+
 
 class TestCrosscut:
     def test_matches_buchberger_complex(self):
@@ -281,3 +295,41 @@ class TestCrosscut:
         n = max(len(gamma_ranks), len(order_ranks))
         pad = lambda t: tuple(t) + (0,) * (n - len(t))
         assert pad(gamma_ranks) == pad(order_ranks)
+
+
+class TestCapsCountTheEmptyFace:
+    # each complex raises once its count, the empty face included, exceeds the
+    # cap, so the full count passes and one less raises; order and crosscut
+    # complexes count the empty face without a check, so a complex that is
+    # only the empty face passes any cap
+
+    @given(seeds)
+    def test_order_complex(self, seed):
+        lattice = lcm_lattice(helpers.ideal_from_seed(seed, 3, 5, 3))
+        poset = open_interval(lattice, lattice.top)
+        n = len(order_complex(poset))
+        assert len(order_complex(poset, max_chains=n)) == n
+        if n == 1:
+            assert len(order_complex(poset, max_chains=0)) == 1
+            return
+        with pytest.raises(CapExceededError, match=f"cap {n - 1}"):
+            order_complex(poset, max_chains=n - 1)
+
+    @given(seeds)
+    def test_crosscut_complex(self, seed):
+        ideal = helpers.ideal_from_seed(seed, 4, 5, 4)
+        poset = buchberger_degree_poset(ideal)
+        atoms = [poset.index(g) for g in ideal.generators]
+        n = len(crosscut_complex(poset, atoms))
+        assert len(crosscut_complex(poset, atoms, max_faces=n)) == n
+        with pytest.raises(CapExceededError, match=f"cap {n - 1}"):
+            crosscut_complex(poset, atoms, max_faces=n - 1)
+
+    @given(seeds)
+    def test_interval_crosscut(self, seed):
+        ideal = helpers.ideal_from_seed(seed, 4, 6, 4)
+        m = ideal.top_multidegree()
+        n = len(interval_crosscut(ideal, m))
+        assert len(interval_crosscut(ideal, m, max_faces=n)) == n
+        with pytest.raises(CapExceededError, match=f"cap {n - 1}"):
+            interval_crosscut(ideal, m, max_faces=n - 1)
