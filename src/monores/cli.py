@@ -395,7 +395,11 @@ def cmd_ibar(args) -> int:
         return EXIT_NOT_GENERIC
     bound = _parse_vector(args.u) if args.u else ideal.top_multidegree()
     cofactor = _parse_vector(args.M)
-    report = verify_ibar(ideal, bound, cofactor, FieldSpec(args.field))
+    cfg = _config(args)
+    report = verify_ibar(
+        ideal, bound, cofactor, FieldSpec(args.field),
+        max_faces=cfg.max_faces, max_lattice=cfg.max_lattice,
+    )
     if args.format == "json":
         _emit_json(report.to_json_dict())
     else:
@@ -505,6 +509,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--M", default="1", help="cofactor exponents on the new variables")
     p.add_argument("--field", type=int, default=0)
     p.add_argument("--format", choices=["text", "json"], default="text")
+    p.add_argument("--cap-faces", type=int, default=FACE_CAP)
+    p.add_argument("--cap-lattice", type=int, default=LATTICE_CAP)
     p.set_defaults(fn=cmd_ibar)
 
     p = sub.add_parser("random", help="emit a deterministic random ideal")

@@ -17,10 +17,8 @@ from .monomials import (
     Multidegree,
     MonomialIdeal,
     _as_multidegree,
-    divides,
     lcm_of,
     monomial_to_text,
-    properly_divides,
 )
 
 Face = tuple[int, ...]
@@ -166,11 +164,11 @@ class SimpleGraph:
 def buchberger_graph(ideal: MonomialIdeal) -> SimpleGraph:
     """Edge {i, j} whenever no generator properly divides lcm(g_i, g_j)."""
     gens = ideal.generators
+    strictly_dividing = ideal.divisibility.strictly_dividing
     edges = set()
     for i in range(len(gens)):
         for j in range(i + 1, len(gens)):
-            l = lcm_of([gens[i], gens[j]])
-            if not any(properly_divides(g, l) for g in gens):
+            if not strictly_dividing(tuple(map(max, gens[i], gens[j]))):
                 edges.add((i, j))
     return SimpleGraph(len(gens), frozenset(edges))
 
@@ -187,6 +185,7 @@ def buchberger_complex(
     the admissibility test is inherited by subsets, so the sweep is complete.
     """
     gens = ideal.generators
+    strictly_dividing = ideal.divisibility.strictly_dividing
     if len(gens) > max_generators:
         raise CapExceededError(
             f"{len(gens)} generators exceed the enumeration cap {max_generators}"
@@ -204,7 +203,7 @@ def buchberger_complex(
         for face, label in frontier:
             for w in range(face[-1] + 1 if face else 0, len(gens)):
                 lab = tuple(map(max, label, gens[w]))
-                if any(properly_divides(g, lab) for g in gens):
+                if strictly_dividing(lab):
                     continue
                 grown.append((face + (w,), lab))
         frontier = grown
@@ -221,14 +220,12 @@ def _scarf_faces(bu: LabeledComplex) -> list[Face]:
     """
     ideal = bu.ideal
     gens = ideal.generators
+    dividing = ideal.divisibility.dividing
     keep = []
     for k in range(-1, bu.dim + 1):
         for face in bu.faces(k):
             label = bu.label(face)
-            members = set(face)
-            if any(
-                v not in members and divides(gens[v], label) for v in range(len(gens))
-            ):
+            if dividing(label) & ~face_mask(face):
                 continue
             if any(
                 lcm_of([gens[w] for w in face if w != v], ideal.nvars) == label
@@ -285,11 +282,16 @@ def clique_complex(
     return LabeledComplex(ideal, out, validate=False)
 
 
-def subcomplex_dividing(complex_: LabeledComplex, m) -> LabeledComplex:
-    """Faces whose label divides m (downward closed by label monotonicity)."""
-    m = _as_multidegree(m, complex_.ideal.nvars)
-    faces = [f for f in complex_.all_faces() if divides(complex_.label(f), m)]
-    return LabeledComplex(complex_.ideal, faces, validate=False)
+def subcomplex_dividing(complex_: LabeledComplex, m) -> SimplicialComplex:
+    """Faces whose label divides m, without labels.
+
+    A label is the lcm of its face's generators, so it divides m exactly
+    when every vertex of the face does: this is the subcomplex induced on
+    the generators dividing m.
+    """
+    ideal = complex_.ideal
+    outside = ~ideal.divisibility.dividing(_as_multidegree(m, ideal.nvars))
+    return SimplicialComplex.from_masks([f for f in complex_._masks if not f & outside])
 
 
 def f_vector(complex_: SimplicialComplex) -> tuple[int, ...]:

@@ -13,6 +13,7 @@ import random
 import re
 import warnings
 from dataclasses import dataclass
+from functools import cached_property
 from operator import le
 
 from .errors import GenerationError, ParseError
@@ -85,6 +86,55 @@ def lcm_of(mdegs, nvars: int | None = None) -> Multidegree:
     return tuple(map(max, *mdegs)) if len(mdegs) > 1 else tuple(first)
 
 
+class DivisibilityIndex:
+    """Which entries of a fixed tuple of multidegrees divide a query, as a bitmask.
+
+    Bit i of an answer stands for ``points[i]``.  For each variable t the
+    index keeps the prefix masks of "exponent in t is at most v", for v up to
+    the largest exponent in t; a larger v admits every point.  A query is
+    one AND per variable.  Queries are not validated: they must have the
+    points' length.
+    """
+
+    __slots__ = ("_at_most", "_all")
+
+    def __init__(self, nvars: int, points):
+        points = tuple(points)
+        self._all = (1 << len(points)) - 1
+        self._at_most: list[list[int]] = []
+        for t in range(nvars):
+            masks = [0] * (max((p[t] for p in points), default=0) + 1)
+            for i, p in enumerate(points):
+                masks[p[t]] |= 1 << i
+            for v in range(1, len(masks)):
+                masks[v] |= masks[v - 1]
+            self._at_most.append(masks)
+
+    def dividing(self, m: Multidegree) -> int:
+        """The points p with p | m."""
+        out = self._all
+        for masks, e in zip(self._at_most, m):
+            if e < len(masks):
+                out &= masks[e]
+        return out
+
+    def strictly_dividing(self, m: Multidegree) -> int:
+        """The points p with p_t < m_t wherever m_t > 0 and p_t = 0 elsewhere.
+
+        That is ``properly_divides(p, m)``, except that a zero point is in
+        the answer for the zero query although nothing properly divides
+        itself.
+        """
+        out = self._all
+        for masks, e in zip(self._at_most, m):
+            # p_t < max(m_t, 1) is p_t <= max(m_t, 1) - 1
+            if e:
+                e -= 1
+            if e < len(masks):
+                out &= masks[e]
+        return out
+
+
 @dataclass(frozen=True)
 class MonomialIdeal:
     """A monomial ideal given by its canonically sorted minimal generators.
@@ -120,6 +170,11 @@ class MonomialIdeal:
     def top_multidegree(self) -> Multidegree:
         """lcm of all generators (the all-zero vector for the zero ideal)."""
         return lcm_of(self.generators, self.nvars)
+
+    @cached_property
+    def divisibility(self) -> DivisibilityIndex:
+        """The generators' ``DivisibilityIndex``, built on first use."""
+        return DivisibilityIndex(self.nvars, self.generators)
 
 
 def minimalize(nvars: int, vectors) -> MonomialIdeal:

@@ -5,7 +5,7 @@ from __future__ import annotations
 from .complexes import SimplicialComplex
 from .errors import CapExceededError
 from .homology import mask_face
-from .monomials import Multidegree, MonomialIdeal, divides, properly_divides
+from .monomials import DivisibilityIndex, Multidegree, MonomialIdeal, _as_multidegree
 
 MATRIX_LIMIT = 4096
 TRANSITIVITY_CHECK_LIMIT = 600
@@ -13,23 +13,36 @@ LATTICE_CAP = 1 << 16
 CHAIN_CAP = 1 << 20
 
 
-class FinitePoset:
-    """Finite poset on distinct hashable payloads with a comparator-defined order.
+def _transpose(masks: list[int]) -> list[int]:
+    """Bit j of masks[i] becomes bit i of the j-th result."""
+    out = [0] * len(masks)
+    for i, m in enumerate(masks):
+        bit = 1 << i
+        while m:
+            low = m & -m
+            out[low.bit_length() - 1] |= bit
+            m ^= low
+    return out
 
-    Up- and down-sets are kept as integer bitmasks, materialized eagerly for
-    small posets and memoized per element beyond MATRIX_LIMIT.  The order
-    axioms are verified on construction (transitivity only up to a size
-    threshold, since that check is cubic).
+
+class FinitePoset:
+    """Finite poset on distinct hashable payloads.
+
+    Up- and down-sets are kept as integer bitmasks.  A poset built from a
+    comparator materializes them eagerly when small and memoizes them per
+    element beyond MATRIX_LIMIT, and verifies the order axioms on
+    construction (transitivity only up to a size threshold, since that check
+    is cubic); the agreement posets are built this way.  The divisibility
+    posets (open intervals, Buchberger degrees) are built by
+    ``from_down_masks`` from masks read off a ``DivisibilityIndex``: the
+    order holds by construction, so they are not validated.
     """
 
     __slots__ = ("elements", "_cmp", "_pos", "_up", "_down")
 
-    def __init__(self, elements, leq, *, validate: bool = True):
-        self.elements = tuple(elements)
+    def __init__(self, elements, leq):
+        self._set_elements(elements)
         self._cmp = leq
-        self._pos = {e: i for i, e in enumerate(self.elements)}
-        if len(self._pos) != len(self.elements):
-            raise ValueError("poset elements must be distinct")
         n = len(self.elements)
         eager = n <= MATRIX_LIMIT
         self._up: list[int | None] = [None] * n
@@ -37,17 +50,25 @@ class FinitePoset:
         if eager:
             for i in range(n):
                 self.up_mask(i)
-            # i <= j sets bit j of up[i] and bit i of down[j]: transpose
-            down = [0] * n
-            for i, up in enumerate(self._up):
-                bit = 1 << i
-                while up:
-                    low = up & -up
-                    down[low.bit_length() - 1] |= bit
-                    up ^= low
-            self._down = down
-        if validate and eager:
+            # i <= j sets bit j of up[i] and bit i of down[j]
+            self._down = _transpose(self._up)
             self._check_axioms(n)
+
+    @classmethod
+    def from_down_masks(cls, elements, down) -> FinitePoset:
+        """The poset whose j-th down-set is ``down[j]``, taken as a valid order."""
+        poset = cls.__new__(cls)
+        poset._set_elements(elements)
+        poset._cmp = None
+        poset._down = list(down)
+        poset._up = _transpose(poset._down)
+        return poset
+
+    def _set_elements(self, elements) -> None:
+        self.elements = tuple(elements)
+        self._pos = {e: i for i, e in enumerate(self.elements)}
+        if len(self._pos) != len(self.elements):
+            raise ValueError("poset elements must be distinct")
 
     def _check_axioms(self, n: int) -> None:
         for i in range(n):
@@ -113,15 +134,23 @@ class FinitePoset:
 class LcmLattice:
     """All lcms of generator subsets, divisibility-ordered, bottom element 1."""
 
-    __slots__ = ("nvars", "elements", "_members")
+    __slots__ = ("nvars", "elements", "_pos", "_divisibility")
 
     def __init__(self, nvars: int, elements):
         self.nvars = nvars
         self.elements = tuple(sorted(elements))
-        self._members = frozenset(self.elements)
+        self._pos = {e: i for i, e in enumerate(self.elements)}
+        self._divisibility: DivisibilityIndex | None = None
 
     def __contains__(self, m) -> bool:
-        return tuple(m) in self._members
+        return tuple(m) in self._pos
+
+    @property
+    def divisibility(self) -> DivisibilityIndex:
+        """The elements' ``DivisibilityIndex``, built on first use."""
+        if self._divisibility is None:
+            self._divisibility = DivisibilityIndex(self.nvars, self.elements)
+        return self._divisibility
 
     def __len__(self) -> int:
         return len(self.elements)
@@ -142,14 +171,26 @@ def lcm_lattice(ideal: MonomialIdeal, *, max_elements: int = LATTICE_CAP) -> Lcm
 
 
 def _interval_elements(lattice: LcmLattice, m: Multidegree) -> list[Multidegree]:
-    if m not in lattice:
+    pos = lattice._pos.get(m)
+    if pos is None:
         raise ValueError(f"{m} is not an lcm-lattice element")
-    return [e for e in lattice.elements if any(e) and e != m and divides(e, m)]
+    # leave out m itself and the zero vector, if the lattice holds it
+    inside = lattice.divisibility.dividing(m) & ~(1 << pos)
+    bottom = lattice._pos.get((0,) * lattice.nvars)
+    if bottom is not None:
+        inside &= ~(1 << bottom)
+    return [lattice.elements[i] for i in mask_face(inside)]
+
+
+def _divisibility_poset(nvars: int, elements) -> FinitePoset:
+    """Distinct multidegrees under divisibility, without a comparator pass."""
+    dividing = DivisibilityIndex(nvars, elements).dividing
+    return FinitePoset.from_down_masks(elements, [dividing(e) for e in elements])
 
 
 def open_interval(lattice: LcmLattice, m) -> FinitePoset:
     """Lattice elements strictly between 1 and m under divisibility."""
-    return FinitePoset(_interval_elements(lattice, tuple(m)), divides)
+    return _divisibility_poset(lattice.nvars, _interval_elements(lattice, tuple(m)))
 
 
 def interval_crosscut(
@@ -166,12 +207,12 @@ def interval_crosscut(
     lcm already reaches m; the lcm is m exactly when that set is all of them,
     and a set that falls short keeps falling short on every subset.
     """
-    m = tuple(m)
+    m = _as_multidegree(m, ideal.nvars)
     full = (1 << ideal.nvars) - 1
+    gens = ideal.generators
     atoms = [
-        (v, sum(1 << i for i, (a, b) in enumerate(zip(g, m)) if a == b))
-        for v, g in enumerate(ideal.generators)
-        if divides(g, m)
+        (v, sum(1 << i for i, (a, b) in enumerate(zip(gens[v], m)) if a == b))
+        for v in mask_face(ideal.divisibility.dividing(m))
     ]
     reached = 0
     for _, agree in atoms:
@@ -202,7 +243,7 @@ def is_buchberger_degree(ideal: MonomialIdeal, m, *, lattice: LcmLattice | None 
     m = tuple(m)
     if m not in lattice:
         raise ValueError(f"{m} is not an lcm-lattice element")
-    return not any(properly_divides(g, m) for g in ideal.generators)
+    return not ideal.divisibility.strictly_dividing(m)
 
 
 def buchberger_degree_poset(
@@ -213,13 +254,9 @@ def buchberger_degree_poset(
 ) -> FinitePoset:
     """Nontrivial lattice elements without a properly dividing generator."""
     lattice = lattice or lcm_lattice(ideal, max_elements=max_elements)
-    gens = ideal.generators
-    degrees = [
-        e
-        for e in lattice.elements
-        if any(e) and not any(properly_divides(g, e) for g in gens)
-    ]
-    return FinitePoset(degrees, divides)
+    strictly_dividing = ideal.divisibility.strictly_dividing
+    degrees = [e for e in lattice.elements if any(e) and not strictly_dividing(e)]
+    return _divisibility_poset(ideal.nvars, degrees)
 
 
 def agreement_poset(

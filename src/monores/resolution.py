@@ -171,20 +171,20 @@ def supports_resolution(
     """Check acyclicity of every degree-restricted subcomplex, one report per field.
 
     Only lcm-lattice degrees need checking: the subcomplex of faces dividing
-    m depends only on the set of generators dividing m, and the lcm of that
-    set is a lattice element giving the same subcomplex.
+    m is the one induced on the generators dividing m, and the lcm of those
+    generators is a lattice element giving the same subcomplex.
     """
     if lattice is None:
         lattice = lcm_lattice(ideal, max_elements=max_lattice)
-    gens = ideal.generators
-    seen: set[frozenset[int]] = set()
+    dividing = ideal.divisibility.dividing
+    seen: set[int] = set()
     failures: list[list[dict]] = [[] for _ in fields]
     checked = 0
     for m in lattice.elements:
         if not any(m):
             continue
         checked += 1
-        key = frozenset(i for i, g in enumerate(gens) if divides(g, m))
+        key = dividing(m)
         if key in seen:
             continue
         seen.add(key)
@@ -431,15 +431,21 @@ def verify_ibar(
     bound,
     cofactor,
     field: FieldSpec = FieldSpec(0),
+    *,
+    max_faces: int = FACE_CAP,
+    max_lattice: int = LATTICE_CAP,
 ) -> VerificationReport:
     """For a generic input, the extended ideal must have a minimal Buchberger
-    resolution that coincides with its Scarf complex."""
+    resolution that coincides with its Scarf complex.
+
+    ``max_faces`` bounds the extension's Buchberger complex and
+    ``max_lattice`` its lcm-lattice."""
     if not is_generic(ideal):
         return VerificationReport(
             (CheckResult("ibar-extension", "skipped", reason="input ideal is not generic"),)
         )
     extended = ibar_extend(ideal, bound, cofactor)
-    bu = buchberger_complex(extended)
+    bu = buchberger_complex(extended, max_faces=max_faces)
     sc_faces = set(_scarf_faces(bu))
     witness = {"extended": ideal_to_json_dict(extended)}
     return VerificationReport(
@@ -448,7 +454,9 @@ def verify_ibar(
             _check("ibar-scarf-equals-buchberger", sc_faces == bu.face_set(), witness),
             _check(
                 "ibar-supports-resolution",
-                supports_resolution(bu, extended, (field,))[0].all_passed,
+                supports_resolution(
+                    bu, extended, (field,), max_lattice=max_lattice
+                )[0].all_passed,
                 witness,
             ),
         )
@@ -544,9 +552,10 @@ def lemma_battery(
     gens = ideal.generators
     if lattice is None:
         lattice = lcm_lattice(ideal, max_elements=max_lattice)
+    strictly_dividing = ideal.divisibility.strictly_dividing
     interval_failures: list[list[list[int]]] = [[] for _ in fields]
     for m in lattice.elements:
-        if not any(m) or not any(properly_divides(g, m) for g in gens):
+        if not any(m) or not strictly_dividing(m):
             continue
         gamma = interval_crosscut(ideal, m, max_faces=max_faces)
         for f, found in zip(fields, interval_failures):

@@ -70,6 +70,16 @@ def buchberger_oracle(ideal):
     return set(faces)
 
 
+def subcomplex_dividing_oracle(complex_, m):
+    """The faces of a labeled complex whose label divides m, by a label scan."""
+    return {f for f in complex_.all_faces() if divides(complex_.label(f), m)}
+
+
+def interval_elements_oracle(lattice, m):
+    """The lattice elements strictly between 1 and m, by a divisibility scan."""
+    return [e for e in lattice.elements if any(e) and e != m and divides(e, m)]
+
+
 def clique_oracle(graph):
     """All vertex subsets whose pairs are all edges."""
     n = graph.vertex_count

@@ -228,6 +228,15 @@ class TestIbarCommand:
         assert code == 5
         assert "generic" in err
 
+    @pytest.mark.parametrize("cap", ["--cap-faces", "--cap-lattice"])
+    def test_caps_bound_the_extension(self, capsys, cap):
+        code, _, err = run(
+            capsys,
+            ["ibar", "--inline", "vars: 2\nx1^2*x2\nx1*x2^2\n", "--M", "1", cap, "2"],
+        )
+        assert code == 3
+        assert "cap 2" in err
+
     def test_bad_bound_is_input_error(self, capsys):
         code, _, _ = run(
             capsys,
@@ -331,6 +340,23 @@ class TestBuildCounts:
         assert code == 0
         assert len(complexes_built) == 1
         assert len(lattices_built) == 1
+
+    def test_verify_builds_one_simplicial_complex(self, capsys, monkeypatch):
+        # the support criterion reads induced subcomplexes off the Buchberger
+        # complex's face masks, so only that complex runs the constructor
+        from monores.complexes import LabeledComplex, SimplicialComplex
+
+        original = SimplicialComplex.__init__
+        built = []
+
+        def counted(self, *args, **kwargs):
+            built.append(type(self))
+            original(self, *args, **kwargs)
+
+        monkeypatch.setattr(SimplicialComplex, "__init__", counted)
+        code, _, _ = run(capsys, ["verify", "--inline", EXAMPLE_TEXT, "--fields", "0,2"])
+        assert code == 0
+        assert built == [LabeledComplex]
 
     def test_verify_lists_chains_of_the_degree_poset_only(self, capsys, monkeypatch):
         from monores import posets

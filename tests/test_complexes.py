@@ -262,6 +262,21 @@ class TestSkeletonAndSubcomplex:
             }
             assert sub.face_set() == renamed
 
+    @given(
+        seeds,
+        st.lists(st.lists(st.integers(0, 6), min_size=4, max_size=4), max_size=4),
+    )
+    def test_subcomplex_dividing_matches_label_filter(self, seed, extra):
+        ideal = helpers.ideal_from_seed(seed, 4, 6, 4)
+        degrees = list(lcm_lattice(ideal).elements) + [tuple(m) for m in extra]
+        for complex_ in (
+            buchberger_complex(ideal), taylor_complex(ideal), scarf_complex(ideal)
+        ):
+            for m in degrees:
+                assert subcomplex_dividing(complex_, m).face_set() == (
+                    helpers.subcomplex_dividing_oracle(complex_, m)
+                )
+
 
 class TestGraphPredicates:
     def test_k5_not_planar(self):

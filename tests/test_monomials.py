@@ -15,6 +15,7 @@ from monores import (
     ibar_extend,
     is_generic,
     is_strongly_generic,
+    lcm_lattice,
     lcm_of,
     minimalize,
     parse_ideal,
@@ -22,7 +23,12 @@ from monores import (
     random_ideal,
     restrict,
 )
-from monores.monomials import DroppedGeneratorsWarning, _uniform_vector, monomial_to_text
+from monores.monomials import (
+    DivisibilityIndex,
+    DroppedGeneratorsWarning,
+    _uniform_vector,
+    monomial_to_text,
+)
 
 EX_GENERATORS = [(2, 0, 0, 0), (0, 2, 0, 0), (0, 0, 2, 0), (1, 0, 1, 0), (0, 1, 0, 1)]
 
@@ -75,6 +81,52 @@ class TestDivisibility:
         a, b, c = map(tuple, triple)
         if properly_divides(a, b) and properly_divides(b, c):
             assert properly_divides(a, c)
+
+
+class TestDivisibilityIndex:
+    @given(
+        st.integers(0, 10_000),
+        st.lists(st.lists(st.integers(0, 9), min_size=4, max_size=4), max_size=6),
+    )
+    def test_agrees_with_scans(self, seed, extra):
+        ideal = helpers.ideal_from_seed(seed, 4, 6, 5)
+        lattice = lcm_lattice(ideal)
+        # lattice degrees, drawn degrees with zero entries and exponents up to
+        # 9 above the generators' 5, one step above the top, and zero
+        queries = set(lattice.elements) | {tuple(q) for q in extra}
+        queries.add(tuple(e + 1 for e in ideal.top_multidegree()))
+        queries.add((0, 0, 0, 0))
+        gens, index = ideal.generators, ideal.divisibility
+        for m in queries:
+            assert index.dividing(m) == sum(
+                1 << i for i, g in enumerate(gens) if divides(g, m)
+            )
+            assert index.strictly_dividing(m) == sum(
+                1 << i for i, g in enumerate(gens) if properly_divides(g, m)
+            )
+
+    @given(st.integers(0, 10_000))
+    def test_lattice_index_agrees_with_scans(self, seed):
+        ideal = helpers.ideal_from_seed(seed, 3, 5, 4)
+        lattice = lcm_lattice(ideal)
+        elements, index = lattice.elements, lattice.divisibility
+        for m in elements + (tuple(e + 2 for e in ideal.top_multidegree()),):
+            assert index.dividing(m) == sum(
+                1 << i for i, e in enumerate(elements) if divides(e, m)
+            )
+            # the documented exception: the zero point, element 0, answers the
+            # zero query
+            expected = sum(1 << i for i, e in enumerate(elements) if properly_divides(e, m))
+            assert index.strictly_dividing(m) == expected | (not any(m))
+
+    def test_built_once_per_ideal(self):
+        ideal = example_ideal()
+        assert ideal.divisibility is ideal.divisibility
+        assert ideal == minimalize(4, EX_GENERATORS)
+
+    def test_no_points(self):
+        index = DivisibilityIndex(2, ())
+        assert index.dividing((3, 0)) == index.strictly_dividing((0, 0)) == 0
 
 
 class TestLcm:

@@ -6,6 +6,7 @@ from monores import (
     CapExceededError,
     FieldSpec,
     FinitePoset,
+    LcmLattice,
     SimplicialComplex,
     agreement_poset,
     buchberger_complex,
@@ -20,6 +21,7 @@ from monores import (
     order_complex,
     reduced_homology,
 )
+from monores.posets import _interval_elements
 
 seeds = st.integers(0, 10_000)
 
@@ -55,6 +57,40 @@ class TestFinitePoset:
         for j, b in enumerate(elements):
             expected = sum(1 << i for i, a in enumerate(elements) if divides(a, b))
             assert poset.down_mask(j) == expected
+
+
+class TestDivisibilityPosets:
+    @given(seeds)
+    def test_masks_match_validated_comparator_poset(self, seed):
+        ideal = helpers.ideal_from_seed(seed, 4, 6, 4)
+        lattice = lcm_lattice(ideal)
+        posets = [buchberger_degree_poset(ideal, lattice=lattice)]
+        posets += [open_interval(lattice, m) for m in lattice.elements if any(m)]
+        for poset in posets:
+            # the comparator poset checks the order axioms on construction
+            reference = FinitePoset(poset.elements, divides)
+            indices = range(len(poset))
+            assert [poset.up_mask(i) for i in indices] == [
+                reference.up_mask(i) for i in indices
+            ]
+            assert [poset.down_mask(i) for i in indices] == [
+                reference.down_mask(i) for i in indices
+            ]
+
+    @given(seeds)
+    def test_interval_elements_match_scan(self, seed):
+        lattice = lcm_lattice(helpers.ideal_from_seed(seed, 4, 6, 4))
+        for m in lattice.elements:
+            assert _interval_elements(lattice, m) == helpers.interval_elements_oracle(
+                lattice, m
+            )
+
+    def test_interval_elements_without_bottom(self):
+        lattice = LcmLattice(2, [(1, 0), (0, 1), (1, 1)])
+        assert _interval_elements(lattice, (1, 1)) == [(0, 1), (1, 0)]
+        assert _interval_elements(lattice, (1, 1)) == helpers.interval_elements_oracle(
+            lattice, (1, 1)
+        )
 
 
 class TestLcmLattice:
