@@ -16,6 +16,7 @@ from .complexes import (
     buchberger_complex,
     buchberger_graph,
     clique_complex,
+    dismantle,
     f_vector,
     is_connected,
     is_planar,

@@ -449,10 +449,13 @@ def _add_input(parser):
     parser.add_argument("--inline", help="inline ideal text instead of a file")
 
 
-def _add_caps(parser):
-    parser.add_argument("--cap-faces", type=int, default=FACE_CAP)
-    parser.add_argument("--cap-lattice", type=int, default=LATTICE_CAP)
-    parser.add_argument("--cap-cliques", type=int, default=CLIQUE_CAP)
+_CAP_DEFAULTS = {"faces": FACE_CAP, "lattice": LATTICE_CAP, "cliques": CLIQUE_CAP}
+
+
+def _add_caps(parser, *kinds):
+    """One ``--cap-<kind>`` flag per cap the command reads, and no others."""
+    for kind in kinds:
+        parser.add_argument(f"--cap-{kind}", type=int, default=_CAP_DEFAULTS[kind])
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -472,7 +475,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_input(p)
     p.add_argument("--kind", choices=["graph", "bu", "scarf", "taylor", "clique"], required=True)
     p.add_argument("--format", choices=["text", "json", "dot"], default="text")
-    _add_caps(p)
+    _add_caps(p, "faces", "cliques")
     p.set_defaults(fn=cmd_complex)
 
     p = sub.add_parser("betti", help="multigraded Betti numbers")
@@ -480,14 +483,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--method", choices=["faces", "interval", "agreement"], required=True)
     p.add_argument("--field", type=int, default=0, help="characteristic (0 or prime)")
     p.add_argument("--format", choices=["text", "json"], default="text")
-    _add_caps(p)
+    _add_caps(p, "faces", "lattice")
     p.set_defaults(fn=cmd_betti)
 
     p = sub.add_parser("verify", help="run the full verification battery")
     _add_input(p)
     p.add_argument("--fields", default="0", help="comma-separated characteristics")
     p.add_argument("--format", choices=["text", "json"], default="text")
-    _add_caps(p)
+    _add_caps(p, "faces", "lattice")
     p.set_defaults(fn=cmd_verify)
 
     p = sub.add_parser("conjecture", help="fuzz the clique-complex conjecture")
@@ -500,7 +503,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--fields", default="0,2,3,32003")
     p.add_argument("--log", help="JSONL path for appended fuzz records")
     p.add_argument("--format", choices=["text", "json"], default="text")
-    _add_caps(p)
+    _add_caps(p, "cliques")
     p.set_defaults(fn=cmd_conjecture)
 
     p = sub.add_parser("ibar", help="verify the extension of a generic ideal")
@@ -509,8 +512,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--M", default="1", help="cofactor exponents on the new variables")
     p.add_argument("--field", type=int, default=0)
     p.add_argument("--format", choices=["text", "json"], default="text")
-    p.add_argument("--cap-faces", type=int, default=FACE_CAP)
-    p.add_argument("--cap-lattice", type=int, default=LATTICE_CAP)
+    _add_caps(p, "faces", "lattice")
     p.set_defaults(fn=cmd_ibar)
 
     p = sub.add_parser("random", help="emit a deterministic random ideal")

@@ -102,6 +102,11 @@ class SimplicialComplex:
             self._core = frozenset(collapsed_core(self._masks))
         return self._core
 
+    def induced(self, vertex_mask: int) -> SimplicialComplex:
+        """The faces whose vertices all lie in ``vertex_mask``, on the same indices."""
+        outside = ~vertex_mask
+        return SimplicialComplex.from_masks([f for f in self._masks if not f & outside])
+
     def __len__(self) -> int:
         return len(self._masks) + 1
 
@@ -290,8 +295,34 @@ def subcomplex_dividing(complex_: LabeledComplex, m) -> SimplicialComplex:
     the generators dividing m.
     """
     ideal = complex_.ideal
-    outside = ~ideal.divisibility.dividing(_as_multidegree(m, ideal.nvars))
-    return SimplicialComplex.from_masks([f for f in complex_._masks if not f & outside])
+    return complex_.induced(ideal.divisibility.dividing(_as_multidegree(m, ideal.nvars)))
+
+
+def dismantle(closed_masks) -> int:
+    """The vertices left after strong collapses, as a bitmask.
+
+    ``closed_masks[v]`` is the closed neighbourhood N[v] of vertex v (v
+    included).  A vertex v goes when N[v] is inside N[w] for another vertex
+    w still present; removing it is a strong collapse of the clique complex,
+    which keeps the homotopy type (Barmak and Minian, 2012).  Vertices are
+    tried lowest index first, in passes repeated until one removes nothing,
+    so the result is deterministic.
+    """
+    alive = (1 << len(closed_masks)) - 1
+    removed = True
+    while removed:
+        removed = False
+        for v in mask_face(alive):
+            near = closed_masks[v] & alive
+            rest = near ^ 1 << v
+            while rest:
+                low = rest & -rest
+                if not near & ~closed_masks[low.bit_length() - 1]:
+                    alive ^= 1 << v
+                    removed = True
+                    break
+                rest ^= low
+    return alive
 
 
 def f_vector(complex_: SimplicialComplex) -> tuple[int, ...]:

@@ -7,7 +7,6 @@ from .errors import CapExceededError
 from .homology import mask_face
 from .monomials import DivisibilityIndex, Multidegree, MonomialIdeal, _as_multidegree
 
-MATRIX_LIMIT = 4096
 TRANSITIVITY_CHECK_LIMIT = 600
 LATTICE_CAP = 1 << 16
 CHAIN_CAP = 1 << 20
@@ -28,38 +27,31 @@ def _transpose(masks: list[int]) -> list[int]:
 class FinitePoset:
     """Finite poset on distinct hashable payloads.
 
-    Up- and down-sets are kept as integer bitmasks.  A poset built from a
-    comparator materializes them eagerly when small and memoizes them per
-    element beyond MATRIX_LIMIT, and verifies the order axioms on
-    construction (transitivity only up to a size threshold, since that check
-    is cubic); the agreement posets are built this way.  The divisibility
-    posets (open intervals, Buchberger degrees) are built by
-    ``from_down_masks`` from masks read off a ``DivisibilityIndex``: the
+    Up- and down-sets are kept as integer bitmasks, built on construction.
+    A poset built from a comparator verifies the order axioms (transitivity
+    only up to a size threshold, since that check is cubic); the agreement
+    posets are built this way.  The divisibility posets (open intervals,
+    Buchberger degrees) and subposets are built by ``from_down_masks``: the
     order holds by construction, so they are not validated.
     """
 
-    __slots__ = ("elements", "_cmp", "_pos", "_up", "_down")
+    __slots__ = ("elements", "_pos", "_up", "_down")
 
     def __init__(self, elements, leq):
         self._set_elements(elements)
-        self._cmp = leq
-        n = len(self.elements)
-        eager = n <= MATRIX_LIMIT
-        self._up: list[int | None] = [None] * n
-        self._down: list[int | None] = [None] * n
-        if eager:
-            for i in range(n):
-                self.up_mask(i)
-            # i <= j sets bit j of up[i] and bit i of down[j]
-            self._down = _transpose(self._up)
-            self._check_axioms(n)
+        self._up = [
+            sum(1 << j for j, b in enumerate(self.elements) if leq(a, b))
+            for a in self.elements
+        ]
+        # i <= j sets bit j of up[i] and bit i of down[j]
+        self._down = _transpose(self._up)
+        self._check_axioms(len(self.elements))
 
     @classmethod
     def from_down_masks(cls, elements, down) -> FinitePoset:
         """The poset whose j-th down-set is ``down[j]``, taken as a valid order."""
         poset = cls.__new__(cls)
         poset._set_elements(elements)
-        poset._cmp = None
         poset._down = list(down)
         poset._up = _transpose(poset._down)
         return poset
@@ -97,26 +89,24 @@ class FinitePoset:
 
     def up_mask(self, i: int) -> int:
         """Bitmask of {j : element_i <= element_j}."""
-        m = self._up[i]
-        if m is None:
-            a = self.elements[i]
-            m = 0
-            for j, b in enumerate(self.elements):
-                if self._cmp(a, b):
-                    m |= 1 << j
-            self._up[i] = m
-        return m
+        return self._up[i]
 
     def down_mask(self, j: int) -> int:
-        m = self._down[j]
-        if m is None:
-            b = self.elements[j]
-            m = 0
-            for i, a in enumerate(self.elements):
-                if self._cmp(a, b):
-                    m |= 1 << i
-            self._down[j] = m
-        return m
+        return self._down[j]
+
+    def comparability_masks(self) -> list[int]:
+        """Closed neighbourhoods in the comparability graph, whose clique
+        complex is the order complex."""
+        return [u | d for u, d in zip(self._up, self._down)]
+
+    def restrict(self, mask: int) -> FinitePoset:
+        """The subposet on the elements whose index bit is set in ``mask``."""
+        if mask == (1 << len(self.elements)) - 1:
+            return self
+        keep = mask_face(mask)
+        bit = {old: 1 << new for new, old in enumerate(keep)}
+        down = [sum(bit[i] for i in mask_face(self._down[j] & mask)) for j in keep]
+        return FinitePoset.from_down_masks([self.elements[j] for j in keep], down)
 
     def leq(self, i: int, j: int) -> bool:
         return bool(self.up_mask(i) >> j & 1)

@@ -16,6 +16,7 @@ from .complexes import (
     buchberger_complex,
     buchberger_graph,
     clique_complex,
+    dismantle,
     subcomplex_dividing,
     _scarf_faces,
     CLIQUE_CAP,
@@ -44,6 +45,7 @@ from .monomials import (
 from .posets import (
     CHAIN_CAP,
     LATTICE_CAP,
+    FinitePoset,
     LcmLattice,
     agreement_poset,
     buchberger_degree_poset,
@@ -281,6 +283,15 @@ class BettiTable:
         }
 
 
+def _strong_core(poset: FinitePoset) -> FinitePoset:
+    """The subposet left by dismantling the comparability graph.
+
+    The order complex is that graph's clique complex, so the strong
+    collapses keep its homotopy type, and every beat point goes with them.
+    """
+    return poset.restrict(dismantle(poset.comparability_masks()))
+
+
 def betti_from_complex(complex_: LabeledComplex) -> BettiTable:
     """Count faces per (dimension, label); valid only for minimal complexes."""
     if not is_minimal_complex(complex_):
@@ -301,14 +312,21 @@ def betti_from_intervals(
     max_lattice: int = LATTICE_CAP,
     max_chains: int = CHAIN_CAP,
 ) -> BettiTable:
-    """Betti numbers from open-interval homology in the lcm-lattice."""
+    """Betti numbers from open-interval homology in the lcm-lattice.
+
+    Every chain of each interval is listed, so ``max_chains`` bounds the
+    whole order complex; the homology is read on the chains inside the
+    interval's strong core, which have the same homotopy type.
+    """
     lattice = lattice or lcm_lattice(ideal, max_elements=max_lattice)
     entries: dict[tuple[int, Multidegree], int] = {}
     for m in lattice.elements:
         if not any(m):
             continue
         interval = open_interval(lattice, m)
-        ranks = reduced_homology(order_complex(interval, max_chains=max_chains), field)
+        chains = order_complex(interval, max_chains=max_chains)
+        core = dismantle(interval.comparability_masks())
+        ranks = reduced_homology(chains.induced(core), field)
         for i, r in enumerate(ranks.ranks):
             if r:
                 entries[(i, m)] = r
@@ -323,7 +341,10 @@ def betti_from_agreement(
     max_lattice: int = LATTICE_CAP,
     max_chains: int = CHAIN_CAP,
 ) -> BettiTable:
-    """Betti numbers from agreement-poset homology; zero off Buchberger degrees."""
+    """Betti numbers from agreement-poset homology; zero off Buchberger degrees.
+
+    The order complex is built on each poset's strong core only.
+    """
     lattice = lattice or lcm_lattice(ideal, max_elements=max_lattice)
     entries: dict[tuple[int, Multidegree], int] = {}
     for m in lattice.elements:
@@ -332,7 +353,7 @@ def betti_from_agreement(
         if not is_buchberger_degree(ideal, m, lattice=lattice):
             continue
         poset = agreement_poset(ideal, m, lattice=lattice)
-        ranks = reduced_homology(order_complex(poset, max_chains=max_chains), field)
+        ranks = reduced_homology(order_complex(_strong_core(poset), max_chains=max_chains), field)
         for i, r in enumerate(ranks.ranks):
             if r:
                 entries[(i, m)] = r
@@ -544,10 +565,11 @@ def lemma_battery(
 
     Intervals below degrees with a properly dividing generator are acyclic
     (read on the atom crosscut of [1, m], which ``max_faces`` bounds), the
-    degree poset's order complex is acyclic (``max_chains`` bounds it), the
-    crosscut complex of the generators inside it equals the Buchberger
-    complex, and the Buchberger complex itself is acyclic.  Every complex is
-    built once and checked over all fields before the next one is built.
+    degree poset is acyclic (read on the order complex of its strong core,
+    which ``max_chains`` bounds), the crosscut complex of the generators
+    inside it equals the Buchberger complex, and the Buchberger complex
+    itself is acyclic.  Every complex is built once and checked over all
+    fields before the next one is built.
     """
     gens = ideal.generators
     if lattice is None:
@@ -562,9 +584,8 @@ def lemma_battery(
             if not is_acyclic(gamma, f):
                 found.append(list(m))
     degree_poset = buchberger_degree_poset(ideal, lattice=lattice)
-    oc = order_complex(degree_poset, max_chains=max_chains)
+    oc = order_complex(_strong_core(degree_poset), max_chains=max_chains)
     poset_acyclic = [is_acyclic(oc, f) for f in fields]
-    del oc  # usually the largest complex here; free it before the crosscut
     bu = complex_ if complex_ is not None else buchberger_complex(ideal, max_faces=max_faces)
     atoms = [degree_poset.index(g) for g in gens]
     crosscut = crosscut_complex(degree_poset, atoms, max_faces=max_faces)

@@ -172,17 +172,25 @@ class TestVerifyCommand:
         assert code == 0
         assert "PASS" in out
 
-    def test_thirteen_generators_pass(self, capsys):
-        # the chains of this ideal's covered lattice intervals exceed the chain cap
+    @pytest.mark.parametrize(
+        "spec, ngens",
+        [(("4", "60", "10", "1"), 13), (("5", "40", "6", "5"), 14), (("6", "40", "5", "2"), 13)],
+        ids=["vars4", "vars5", "vars6"],
+    )
+    def test_thirteen_and_fourteen_generators_pass(self, capsys, spec, ngens):
+        # the chains of these ideals' covered lattice intervals exceed the
+        # chain cap, and their degree posets have 91 to 265 elements
+        nvars, gens, maxdeg, seed = spec
         _, ideal_text, _ = run(
-            capsys, ["random", "--vars", "4", "--gens", "60", "--maxdeg", "10", "--seed", "1"]
+            capsys,
+            ["random", "--vars", nvars, "--gens", gens, "--maxdeg", maxdeg, "--seed", seed],
         )
         code, out, _ = run(
             capsys, ["verify", "--inline", ideal_text, "--fields", "0,2", "--format", "json"]
         )
         assert code == 0
         data = json.loads(out)
-        assert len(data["ideal"]["generators"]) == 13
+        assert len(data["ideal"]["generators"]) == ngens
         assert data["report"]["all_passed"] is True
 
 
@@ -243,6 +251,51 @@ class TestIbarCommand:
             ["ibar", "--inline", "vars: 2\nx1^2*x2\nx1*x2^2\n", "--u", "1,1", "--M", "1"],
         )
         assert code == 2
+
+
+CONJECTURE_ARGV = ["conjecture", "--vars", "3", "--gens", "5", "--maxdeg", "4", "--trials", "1"]
+
+
+class TestCapFlags:
+    """Each command takes the cap flags it reads, and no others."""
+
+    @pytest.mark.parametrize(
+        "argv, flag",
+        [
+            (["complex", "--inline", EXAMPLE_TEXT, "--kind", "bu"], "--cap-lattice"),
+            (["betti", "--inline", EXAMPLE_TEXT, "--method", "interval"], "--cap-cliques"),
+            (["verify", "--inline", EXAMPLE_TEXT], "--cap-cliques"),
+            (CONJECTURE_ARGV, "--cap-faces"),
+            (CONJECTURE_ARGV, "--cap-lattice"),
+            (["ibar", "--inline", "vars: 2\nx1^2*x2\nx1*x2^2\n"], "--cap-cliques"),
+        ],
+    )
+    def test_unread_cap_is_a_usage_error(self, capsys, argv, flag):
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, f"{flag}=2"])
+        assert exc.value.code == 2
+        assert f"unrecognized arguments: {flag}=2" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "argv, flag",
+        [
+            (["complex", "--inline", EXAMPLE_TEXT, "--kind", "clique"], "--cap-cliques"),
+            (["betti", "--inline", EXAMPLE_TEXT, "--method", "faces"], "--cap-faces"),
+            (["betti", "--inline", EXAMPLE_TEXT, "--method", "interval"], "--cap-lattice"),
+            (["betti", "--inline", EXAMPLE_TEXT, "--method", "agreement"], "--cap-lattice"),
+            (["verify", "--inline", EXAMPLE_TEXT], "--cap-faces"),
+            (["verify", "--inline", EXAMPLE_TEXT], "--cap-lattice"),
+        ],
+    )
+    def test_read_cap_exits_3(self, capsys, argv, flag):
+        code, _, err = run(capsys, [*argv, flag, "2"])
+        assert code == 3
+        assert "cap 2" in err
+
+    def test_clique_cap_skips_the_conjecture_trial(self, capsys):
+        code, out, _ = run(capsys, [*CONJECTURE_ARGV, "--cap-cliques", "2", "--format", "json"])
+        assert code == 0
+        assert json.loads(out) == {"trials": 1, "consistent": 0, "candidates": 0, "skipped": 1}
 
 
 class TestConjectureCommand:
@@ -367,6 +420,32 @@ class TestBuildCounts:
         assert code == 0
         assert len(intervals) == 0
         assert len(order_complexes) == 1
+
+    def test_interval_method_lists_every_chain_and_collapses_the_core(
+        self, capsys, monkeypatch
+    ):
+        # every chain of (1, m) is listed, so the chain cap and the chain
+        # count stay as they were; the collapse sees the chains inside the
+        # interval's strong core only
+        import helpers
+        from monores import dismantle, homology, lcm_lattice, parse_ideal, posets
+
+        lattice = lcm_lattice(parse_ideal(SQUAREFREE_TEXT))
+        intervals = [posets.open_interval(lattice, m) for m in lattice.elements if any(m)]
+        expected = []
+        for interval in intervals:
+            kept = set(homology.mask_face(dismantle(interval.comparability_masks())))
+            chains = helpers.chains_oracle(interval) - {()}
+            inside = frozenset(homology.face_mask(c) for c in chains if set(c) <= kept)
+            expected.append((len(chains), inside))
+        listed = count_calls(monkeypatch, posets, "order_complex")
+        collapsed = count_calls(monkeypatch, homology, "collapsed_core")
+        code, _, _ = run(capsys, ["betti", "--inline", SQUAREFREE_TEXT, "--method", "interval"])
+        assert code == 0
+        observed = [(len(oc) - 1, faces) for (_, oc), ((faces,), _) in zip(listed, collapsed)]
+        assert len(listed) == len(collapsed) == len(intervals)
+        assert observed == expected
+        assert sum(len(f) for _, f in expected) < sum(n for n, _ in expected)
 
     def test_two_calls_build_the_parser_once(self, capsys, monkeypatch):
         from monores import cli

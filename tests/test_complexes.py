@@ -1,14 +1,18 @@
+import random
+
 import pytest
 from hypothesis import given, strategies as st
 
 import helpers
 from monores import (
     CapExceededError,
+    FieldSpec,
     SimpleGraph,
     SimplicialComplex,
     buchberger_complex,
     buchberger_graph,
     clique_complex,
+    dismantle,
     f_vector,
     is_connected,
     is_planar,
@@ -25,6 +29,7 @@ from monores import (
     reduced_homology,
 )
 from monores.complexes import LabeledComplex, graph_to_dot
+from monores.homology import mask_face
 
 
 def example_ideal():
@@ -276,6 +281,71 @@ class TestSkeletonAndSubcomplex:
                 assert subcomplex_dividing(complex_, m).face_set() == (
                     helpers.subcomplex_dividing_oracle(complex_, m)
                 )
+
+
+def closed_masks(n, edges):
+    masks = [1 << v for v in range(n)]
+    for i, j in edges:
+        masks[i] |= 1 << j
+        masks[j] |= 1 << i
+    return masks
+
+
+def nonzero_ranks(homology):
+    return {k: r for k, r in enumerate(homology.ranks) if r}
+
+
+def cycle(n):
+    return [(i, (i + 1) % n) for i in range(n)]
+
+
+def complete(n):
+    return [(i, j) for i in range(n) for j in range(i + 1, n)]
+
+
+class TestDismantle:
+    @pytest.mark.parametrize("n", [4, 5, 6])
+    def test_cycles_keep_every_vertex(self, n):
+        assert dismantle(closed_masks(n, cycle(n))) == (1 << n) - 1
+
+    @pytest.mark.parametrize("n", [1, 2, 5])
+    def test_complete_graph_goes_to_its_last_vertex(self, n):
+        # lowest index first: each vertex is dominated by every later one
+        assert dismantle(closed_masks(n, complete(n))) == 1 << (n - 1)
+
+    def test_tree_goes_to_one_vertex(self):
+        tree = [(0, 1), (1, 2), (1, 3), (3, 4), (3, 5), (5, 6), (0, 7)]
+        core = dismantle(closed_masks(8, tree))
+        assert core.bit_count() == 1
+
+    @pytest.mark.parametrize("n", [4, 5])
+    def test_cone_over_a_cycle_goes_to_one_vertex(self, n):
+        apex = [(v, n) for v in range(n)]
+        assert dismantle(closed_masks(n + 1, cycle(n) + apex)).bit_count() == 1
+
+    def test_empty_and_edgeless_graphs(self):
+        assert dismantle([]) == 0
+        assert dismantle(closed_masks(3, [])) == 0b111
+
+    @given(seeds, st.integers(1, 8), st.floats(0.2, 0.9))
+    def test_core_keeps_the_clique_complex_homology(self, seed, n, density):
+        rng = random.Random(seed)
+        edges = [e for e in complete(n) if rng.random() < density]
+        graph = SimpleGraph(n, frozenset(edges))
+        masks = closed_masks(n, edges)
+        core = dismantle(masks)
+        assert core == dismantle(list(masks))  # deterministic, input untouched
+        kept = mask_face(core)
+        # no vertex of the core is dominated inside it
+        for v in kept:
+            assert all(masks[v] & core & ~masks[w] for w in kept if w != v)
+        full = SimplicialComplex(helpers.clique_oracle(graph))
+        inside = full.induced(core)
+        assert inside.face_set() == {f for f in full.face_set() if set(f) <= set(kept)}
+        for f in (FieldSpec(0), FieldSpec(2)):
+            assert nonzero_ranks(reduced_homology(inside, f, collapse=False)) == nonzero_ranks(
+                reduced_homology(full, f, collapse=False)
+            )
 
 
 class TestGraphPredicates:

@@ -30,6 +30,12 @@ IDEALS = {
         "vars: 4\nx2^6*x3^8*x4^5\nx1*x2^5*x4^9\nx1^2*x2^8*x3^3*x4^6\n"
         "x1^4*x2*x3^4*x4^2\nx1^5*x3^9*x4^4\nx1^7*x2^9*x3^6\nx1^9*x2^7*x3^2*x4^3\n"
     ),
+    # random --vars 5 --gens 14 --maxdeg 3 --seed 4: Betti totals (7, 15, 14, 6, 1),
+    # so some open intervals have homology and their cores are not a point
+    "arbitrary-5-vars": (
+        "vars: 5\nx4^3*x5^2\nx2^2*x4^2*x5^2\nx1*x5^3\nx1*x3^2*x4\n"
+        "x1^2*x3*x4^2*x5^2\nx1^2*x2^2*x3*x4*x5^2\nx1^3*x2^2*x3*x4\n"
+    ),
 }
 
 CONJECTURE = {

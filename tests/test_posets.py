@@ -12,6 +12,7 @@ from monores import (
     buchberger_complex,
     buchberger_degree_poset,
     crosscut_complex,
+    dismantle,
     divides,
     interval_crosscut,
     is_buchberger_degree,
@@ -21,6 +22,7 @@ from monores import (
     order_complex,
     reduced_homology,
 )
+from monores.homology import mask_face
 from monores.posets import _interval_elements
 
 seeds = st.integers(0, 10_000)
@@ -217,6 +219,56 @@ class TestAgreementPoset:
 def _padded_equal(x, y):
     n = max(len(x), len(y))
     return tuple(x) + (0,) * (n - len(x)) == tuple(y) + (0,) * (n - len(y))
+
+
+def strong_core(poset):
+    return dismantle(poset.comparability_masks())
+
+
+def poset_family(ideal):
+    """The degree poset, then every interval and agreement poset, of an ideal."""
+    lattice = lcm_lattice(ideal)
+    yield buchberger_degree_poset(ideal, lattice=lattice)
+    for m in lattice.elements:
+        if any(m):
+            yield open_interval(lattice, m)
+            if is_buchberger_degree(ideal, m, lattice=lattice):
+                yield agreement_poset(ideal, m, lattice=lattice)
+
+
+class TestStrongCore:
+    def test_restrict_matches_comparator_subposet(self):
+        values = [1, 2, 3, 4, 6, 8, 12, 24]
+        poset = FinitePoset(values, lambda a, b: b % a == 0)
+        sub = poset.restrict(0b01101110)  # 2, 3, 4, 8, 12
+        reference = FinitePoset([2, 3, 4, 8, 12], lambda a, b: b % a == 0)
+        assert sub.elements == reference.elements
+        assert [sub.up_mask(i) for i in range(5)] == [reference.up_mask(i) for i in range(5)]
+        assert [sub.down_mask(i) for i in range(5)] == [reference.down_mask(i) for i in range(5)]
+
+    def test_unique_maximum_goes_to_a_point(self):
+        poset = FinitePoset([(1, 0), (0, 1), (1, 1)], lambda a, b: all(x <= y for x, y in zip(a, b)))
+        assert strong_core(poset).bit_count() == 1
+
+    @given(seeds, st.integers(2, 8))
+    def test_core_keeps_ranks_and_induces_the_chains(self, seed, ngens):
+        # the first generators of a larger minimal draw, so 8 are reached
+        ideal = minimalize(4, helpers.ideal_from_seed(seed, 4, 24, 4).generators[:ngens])
+        for poset in poset_family(ideal):
+            core = strong_core(poset)
+            chains = order_complex(poset)
+            restricted = order_complex(poset.restrict(core))
+            # vertex i of the restricted poset is the i-th kept element
+            kept = mask_face(core)
+            relabeled = {tuple(kept[v] for v in f) for f in restricted.face_set()}
+            assert chains.induced(core).face_set() == relabeled
+            if len(chains) > 1000:
+                continue  # too large for elimination without collapses
+            for f in (FieldSpec(0), FieldSpec(2)):
+                assert _padded_equal(
+                    reduced_homology(restricted, f, collapse=False).ranks,
+                    reduced_homology(chains, f, collapse=False).ranks,
+                )
 
 
 class TestIntervalCrosscut:
