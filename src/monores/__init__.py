@@ -71,7 +71,6 @@ from .posets import (
 from .resolution import (
     BettiTable,
     CheckResult,
-    FreeResolutionDescription,
     VerificationReport,
     betti_from_agreement,
     betti_from_complex,
@@ -79,7 +78,6 @@ from .resolution import (
     buchberger_minimality,
     conjecture_evidence,
     conjecture_verdict,
-    homogenized_resolution,
     is_minimal_complex,
     lemma_battery,
     supports_resolution,

@@ -15,7 +15,7 @@ import json
 import sys
 import time
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from . import __version__
 from .complexes import (
@@ -85,25 +85,6 @@ def derive_trial_seed(master: int, index: int) -> int:
     z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
     z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
     return (z ^ (z >> 31)) & _MASK64
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    """Resolved per-invocation options shared by the commands."""
-
-    fields: tuple[FieldSpec, ...] = (FieldSpec(0),)
-    max_faces: int = FACE_CAP
-    max_lattice: int = LATTICE_CAP
-    max_cliques: int = CLIQUE_CAP
-    seed: int = 0
-    trials: int = 0
-    log_path: str | None = None
-
-    def __post_init__(self):
-        if min(self.max_faces, self.max_lattice, self.max_cliques) <= 0:
-            raise ValueError("caps must be positive")
-        if not self.fields:
-            raise ValueError("field list must not be empty")
 
 
 @dataclass(frozen=True)
@@ -266,21 +247,8 @@ def cmd_random(args) -> int:
     return EXIT_OK
 
 
-def _config(args, fields=(FieldSpec(0),)) -> RunConfig:
-    return RunConfig(
-        fields=fields,
-        max_faces=getattr(args, "cap_faces", FACE_CAP),
-        max_lattice=getattr(args, "cap_lattice", LATTICE_CAP),
-        max_cliques=getattr(args, "cap_cliques", CLIQUE_CAP),
-        seed=getattr(args, "seed", 0),
-        trials=getattr(args, "trials", 0),
-        log_path=getattr(args, "log", None),
-    )
-
-
 def cmd_complex(args) -> int:
     ideal = _load_ideal(args)
-    cfg = _config(args)
     if args.kind == "graph":
         graph = buchberger_graph(ideal)
         if args.format == "dot":
@@ -304,11 +272,11 @@ def cmd_complex(args) -> int:
     if args.format == "dot":
         raise ParseError("dot output is only available for --kind graph")
     builders = {
-        "bu": lambda: buchberger_complex(ideal, max_faces=cfg.max_faces),
-        "scarf": lambda: scarf_complex(ideal, max_faces=cfg.max_faces),
-        "taylor": lambda: taylor_complex(ideal, max_faces=cfg.max_faces),
+        "bu": lambda: buchberger_complex(ideal, max_faces=args.cap_faces),
+        "scarf": lambda: scarf_complex(ideal, max_faces=args.cap_faces),
+        "taylor": lambda: taylor_complex(ideal, max_faces=args.cap_faces),
         "clique": lambda: clique_complex(
-            buchberger_graph(ideal), ideal, max_faces=cfg.max_cliques
+            buchberger_graph(ideal), ideal, max_faces=args.cap_cliques
         ),
     }
     complex_ = builders[args.kind]()
@@ -329,13 +297,12 @@ def cmd_complex(args) -> int:
 def cmd_betti(args) -> int:
     ideal = _load_ideal(args)
     f = FieldSpec(args.field)
-    cfg = _config(args, fields=(f,))
     if args.method == "faces":
-        table = betti_from_complex(buchberger_complex(ideal, max_faces=cfg.max_faces))
+        table = betti_from_complex(buchberger_complex(ideal, max_faces=args.cap_faces))
     elif args.method == "interval":
-        table = betti_from_intervals(ideal, f, max_lattice=cfg.max_lattice)
+        table = betti_from_intervals(ideal, f, max_lattice=args.cap_lattice)
     else:
-        table = betti_from_agreement(ideal, f, max_lattice=cfg.max_lattice)
+        table = betti_from_agreement(ideal, f, max_lattice=args.cap_lattice)
     if args.format == "json":
         _emit_json(table.to_json_dict())
     else:
@@ -349,29 +316,29 @@ def cmd_betti(args) -> int:
 
 def cmd_verify(args) -> int:
     ideal = _load_ideal(args)
-    cfg = _config(args, fields=_parse_fields(args.fields))
-    bu = buchberger_complex(ideal, max_faces=cfg.max_faces)
+    fields = _parse_fields(args.fields)
+    bu = buchberger_complex(ideal, max_faces=args.cap_faces)
     scarf = frozenset(_scarf_faces(bu))
     minimal = scarf == bu.face_set()
-    lattice = lcm_lattice(ideal, max_elements=cfg.max_lattice)
+    lattice = lcm_lattice(ideal, max_elements=args.cap_lattice)
     checks = [
         CheckResult(
             "minimality-cross-check",
             "pass" if is_minimal_complex(bu) == minimal else "fail",
         )
     ]
-    supports = supports_resolution(bu, ideal, cfg.fields, lattice=lattice)
+    supports = supports_resolution(bu, ideal, fields, lattice=lattice)
     batteries = lemma_battery(
-        ideal, cfg.fields, complex_=bu, lattice=lattice, max_faces=cfg.max_faces
+        ideal, fields, complex_=bu, lattice=lattice, max_faces=args.cap_faces
     )
-    for f, support, battery in zip(cfg.fields, supports, batteries):
+    for f, support, battery in zip(fields, supports, batteries):
         prefix = f"char{f.characteristic}"
         checks.extend(
             CheckResult(f"{prefix}:{c.name}", c.status, c.witness, c.reason)
             for c in support.checks + battery.checks
         )
     equivalence = verify_scarf_equivalence(
-        ideal, cfg.fields[0], complex_=bu, scarf_faces=scarf, support=supports[0]
+        ideal, fields[0], complex_=bu, scarf_faces=scarf, support=supports[0]
     )
     checks.extend(equivalence.checks)
     report = VerificationReport(tuple(checks))
@@ -395,10 +362,9 @@ def cmd_ibar(args) -> int:
         return EXIT_NOT_GENERIC
     bound = _parse_vector(args.u) if args.u else ideal.top_multidegree()
     cofactor = _parse_vector(args.M)
-    cfg = _config(args)
     report = verify_ibar(
         ideal, bound, cofactor, FieldSpec(args.field),
-        max_faces=cfg.max_faces, max_lattice=cfg.max_lattice,
+        max_faces=args.cap_faces, max_lattice=args.cap_lattice,
     )
     if args.format == "json":
         _emit_json(report.to_json_dict())
@@ -408,25 +374,27 @@ def cmd_ibar(args) -> int:
 
 
 def cmd_conjecture(args) -> int:
-    cfg = _config(args, fields=_parse_fields(args.fields))
-
-    def trial(index: int) -> FuzzRecord:
-        spec = IdealRandomSpec(
-            args.vars, args.gens, args.maxdeg, args.mode,
-            derive_trial_seed(cfg.seed, index),
+    fields = _parse_fields(args.fields)
+    if args.trials < 0:
+        raise ParseError("the trial count must not be negative")
+    # checked here, so that an invalid spec is an error even for zero trials
+    spec = IdealRandomSpec(args.vars, args.gens, args.maxdeg, args.mode)
+    records = [
+        run_conjecture_trial(
+            replace(spec, seed=derive_trial_seed(args.seed, i)), fields,
+            max_cliques=args.cap_cliques,
         )
-        return run_conjecture_trial(spec, cfg.fields, max_cliques=cfg.max_cliques)
-
-    records = [trial(i) for i in range(cfg.trials)]
-    if cfg.log_path:
-        with open(cfg.log_path, "a", encoding="utf-8") as handle:
+        for i in range(args.trials)
+    ]
+    if args.log:
+        with open(args.log, "a", encoding="utf-8") as handle:
             for record in records:
                 handle.write(record.to_json_line() + "\n")
     counts = {"consistent": 0, "CANDIDATE COUNTEREXAMPLE": 0, "skipped": 0}
     for record in records:
         counts[record.verdict] += 1
     summary = {
-        "trials": cfg.trials,
+        "trials": args.trials,
         "consistent": counts["consistent"],
         "candidates": counts["CANDIDATE COUNTEREXAMPLE"],
         "skipped": counts["skipped"],
@@ -536,6 +504,8 @@ def _parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
+        if any(getattr(args, f"cap_{kind}", 1) <= 0 for kind in _CAP_DEFAULTS):
+            raise ParseError("caps must be positive")
         return args.fn(args)
     except ParseError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -7,7 +7,6 @@ from .errors import CapExceededError
 from .homology import mask_face
 from .monomials import DivisibilityIndex, Multidegree, MonomialIdeal, _as_multidegree
 
-TRANSITIVITY_CHECK_LIMIT = 600
 LATTICE_CAP = 1 << 16
 CHAIN_CAP = 1 << 20
 
@@ -25,61 +24,25 @@ def _transpose(masks: list[int]) -> list[int]:
 
 
 class FinitePoset:
-    """Finite poset on distinct hashable payloads.
+    """Finite poset on distinct hashable payloads, given by its down-sets.
 
-    Up- and down-sets are kept as integer bitmasks, built on construction.
-    A poset built from a comparator verifies the order axioms (transitivity
-    only up to a size threshold, since that check is cubic); the agreement
-    posets are built this way.  The divisibility posets (open intervals,
-    Buchberger degrees) and subposets are built by ``from_down_masks``: the
-    order holds by construction, so they are not validated.
+    ``down[j]`` is the bitmask of {i : element_i <= element_j}; the up-sets
+    are its transpose.  The order is taken as given and not validated: every
+    poset here is built from a divisibility index (open intervals, Buchberger
+    degrees, agreement posets) or restricted from one, so the axioms hold by
+    construction.
     """
 
     __slots__ = ("elements", "_pos", "_up", "_down")
 
-    def __init__(self, elements, leq):
-        self._set_elements(elements)
-        self._up = [
-            sum(1 << j for j, b in enumerate(self.elements) if leq(a, b))
-            for a in self.elements
-        ]
-        # i <= j sets bit j of up[i] and bit i of down[j]
-        self._down = _transpose(self._up)
-        self._check_axioms(len(self.elements))
-
-    @classmethod
-    def from_down_masks(cls, elements, down) -> FinitePoset:
-        """The poset whose j-th down-set is ``down[j]``, taken as a valid order."""
-        poset = cls.__new__(cls)
-        poset._set_elements(elements)
-        poset._down = list(down)
-        poset._up = _transpose(poset._down)
-        return poset
-
-    def _set_elements(self, elements) -> None:
+    def __init__(self, elements, down):
         self.elements = tuple(elements)
         self._pos = {e: i for i, e in enumerate(self.elements)}
         if len(self._pos) != len(self.elements):
             raise ValueError("poset elements must be distinct")
-
-    def _check_axioms(self, n: int) -> None:
-        for i in range(n):
-            if not self._up[i] >> i & 1:
-                raise ValueError("order relation is not reflexive")
-            both = self._up[i] & self._down[i] & ~(1 << i)
-            if both:
-                j = both.bit_length() - 1
-                raise ValueError(
-                    f"order relation is not antisymmetric on elements {i}, {j}"
-                )
-        if n <= TRANSITIVITY_CHECK_LIMIT:
-            for i in range(n):
-                rest = self._up[i] & ~(1 << i)
-                while rest:
-                    j = (rest & -rest).bit_length() - 1
-                    if self._up[j] & ~self._up[i]:
-                        raise ValueError("order relation is not transitive")
-                    rest &= rest - 1
+        self._down = list(down)
+        # i <= j sets bit i of down[j] and bit j of up[i]
+        self._up = _transpose(self._down)
 
     def __len__(self) -> int:
         return len(self.elements)
@@ -106,19 +69,7 @@ class FinitePoset:
         keep = mask_face(mask)
         bit = {old: 1 << new for new, old in enumerate(keep)}
         down = [sum(bit[i] for i in mask_face(self._down[j] & mask)) for j in keep]
-        return FinitePoset.from_down_masks([self.elements[j] for j in keep], down)
-
-    def leq(self, i: int, j: int) -> bool:
-        return bool(self.up_mask(i) >> j & 1)
-
-    def is_antichain(self, indices) -> bool:
-        indices = list(indices)
-        for a in range(len(indices)):
-            for b in range(a + 1, len(indices)):
-                i, j = indices[a], indices[b]
-                if self.leq(i, j) or self.leq(j, i):
-                    return False
-        return True
+        return FinitePoset([self.elements[j] for j in keep], down)
 
 
 class LcmLattice:
@@ -172,10 +123,11 @@ def _interval_elements(lattice: LcmLattice, m: Multidegree) -> list[Multidegree]
     return [lattice.elements[i] for i in mask_face(inside)]
 
 
-def _divisibility_poset(nvars: int, elements) -> FinitePoset:
-    """Distinct multidegrees under divisibility, without a comparator pass."""
-    dividing = DivisibilityIndex(nvars, elements).dividing
-    return FinitePoset.from_down_masks(elements, [dividing(e) for e in elements])
+def _divisibility_poset(nvars: int, points, elements=None) -> FinitePoset:
+    """Distinct multidegrees under divisibility, carrying ``elements`` (by
+    default the points themselves) as payloads."""
+    dividing = DivisibilityIndex(nvars, points).dividing
+    return FinitePoset(points if elements is None else elements, [dividing(p) for p in points])
 
 
 def open_interval(lattice: LcmLattice, m) -> FinitePoset:
@@ -255,7 +207,8 @@ def agreement_poset(
     """Distinct variable-agreement sets of interval elements, ordered by inclusion.
 
     Each element strictly between 1 and m contributes the set of variable
-    indices where its exponent equals the one of m.
+    indices where its exponent equals the one of m.  A set is ordered as its
+    0/1 vector, since inclusion of sets is divisibility of those vectors.
     """
     lattice = lattice or lcm_lattice(ideal)
     m = tuple(m)
@@ -264,7 +217,8 @@ def agreement_poset(
         for e in _interval_elements(lattice, m)
     }
     elems = sorted(sets, key=lambda s: (len(s), sorted(s)))
-    return FinitePoset(elems, frozenset.issubset)
+    vectors = [tuple(int(i in s) for i in range(ideal.nvars)) for s in elems]
+    return _divisibility_poset(ideal.nvars, vectors, elems)
 
 
 def order_complex(poset: FinitePoset, *, max_chains: int = CHAIN_CAP) -> SimplicialComplex:
@@ -301,9 +255,10 @@ def crosscut_complex(
     members = tuple(antichain)
     if len(set(members)) != len(members):
         raise ValueError("antichain entries must be distinct")
-    if not poset.is_antichain(members):
-        raise ValueError("the given elements do not form an antichain")
     ups = [poset.up_mask(a) for a in members]
+    bits = sum(1 << a for a in members)
+    if any(up & bits & ~(1 << a) for a, up in zip(members, ups)):
+        raise ValueError("the given elements do not form an antichain")
     downs = [poset.down_mask(a) for a in members]
     faces: list[int] = []
     frontier = [(1 << k, k, ups[k], downs[k]) for k in range(len(members))]

@@ -6,11 +6,12 @@ so the two routes stay independent.
 """
 
 from collections import deque
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 import random
 
-from monores import IdealRandomSpec, random_ideal
+from monores import FinitePoset, IdealRandomSpec, random_ideal
 from monores.cli import derive_trial_seed
 from monores.monomials import divides, lcm_of, properly_divides
 
@@ -202,15 +203,99 @@ def collapse_oracle(faces):
     return present
 
 
+def comparator_poset(elements, leq):
+    """The poset of a comparator, by n^2 calls, with the order axioms checked.
+
+    Transitivity is checked on every pair, so this is for small posets only.
+    """
+    elements = list(elements)
+    n = len(elements)
+    up = [sum(1 << j for j, b in enumerate(elements) if leq(a, b)) for a in elements]
+    for i in range(n):
+        if not up[i] >> i & 1:
+            raise ValueError("order relation is not reflexive")
+        for j in range(n):
+            if not up[i] >> j & 1 or i == j:
+                continue
+            if up[j] >> i & 1:
+                raise ValueError(f"order relation is not antisymmetric on elements {i}, {j}")
+            if up[j] & ~up[i]:
+                raise ValueError("order relation is not transitive")
+    down = [sum(1 << i for i in range(n) if up[i] >> j & 1) for j in range(n)]
+    return FinitePoset(elements, down)
+
+
 def chains_oracle(poset):
     """Every chain of the poset, as a sorted index tuple, by subset scans."""
     n = len(poset)
+    comparable = poset.comparability_masks()
     return {
         subset
         for k in range(n + 1)
         for subset in combinations(range(n), k)
-        if all(poset.leq(i, j) or poset.leq(j, i) for i, j in combinations(subset, 2))
+        if all(comparable[i] >> j & 1 for i, j in combinations(subset, 2))
     }
+
+
+@dataclass(frozen=True)
+class FreeResolutionDescription:
+    """Bases and monomial-weighted differentials read off a labeled complex.
+
+    Homological index i is spanned by the faces of dimension i.  A matrix
+    entry is a pair (sign, exponent vector): the sign follows the simplicial
+    boundary, the exponent vector is label(F) - label(G) for G directly under
+    F.  The index-0 map sends each vertex to its generator.
+    """
+
+    basis: tuple
+    differentials: tuple
+    augmentation: tuple
+
+    def ranks(self):
+        return tuple(len(b) for b in self.basis)
+
+    def differential(self, i):
+        """Entries (row, col, sign, exponents) of the map from index i to i-1."""
+        if not 1 <= i < len(self.basis):
+            raise IndexError(f"no differential at homological index {i}")
+        return self.differentials[i - 1]
+
+    def compose_zero(self):
+        """Symbolic check that consecutive differentials compose to zero."""
+        for i in range(2, len(self.basis)):
+            upper = self.differential(i)
+            lower = {}
+            for r, c, s, e in self.differential(i - 1):
+                lower.setdefault(c, []).append((r, s, e))
+            sums = {}
+            for mid, col, s1, e1 in upper:
+                for row, s2, e2 in lower.get(mid, ()):
+                    key = (row, col, tuple(a + b for a, b in zip(e1, e2)))
+                    sums[key] = sums.get(key, 0) + s1 * s2
+            if any(sums.values()):
+                return False
+        return True
+
+
+def homogenized_resolution(complex_):
+    """The chain complex of the labeled complex with monomial-weighted maps."""
+    basis = tuple(
+        tuple((f, complex_.label(f)) for f in complex_.faces(k))
+        for k in range(0, complex_.dim + 1)
+    )
+    differentials = []
+    for i in range(1, len(basis)):
+        rows = {f: r for r, (f, _) in enumerate(basis[i - 1])}
+        entries = []
+        for c, (f, label) in enumerate(basis[i]):
+            for p in range(len(f)):
+                facet = f[:p] + f[p + 1:]
+                below = complex_.label(facet)
+                exps = tuple(a - b for a, b in zip(label, below))
+                entries.append((rows[facet], c, -1 if p % 2 else 1, exps))
+        differentials.append(tuple(entries))
+    augmentation = tuple(label for _, label in basis[0]) if basis else ()
+    return FreeResolutionDescription(basis, tuple(differentials), augmentation)
 
 
 def downward_closure(faces):

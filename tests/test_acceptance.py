@@ -21,7 +21,6 @@ from monores import (
     clique_complex,
     divides,
     f_vector,
-    homogenized_resolution,
     ibar_extend,
     is_connected,
     is_generic,
@@ -62,7 +61,7 @@ def test_criterion_01_golden_example():
     bu = buchberger_complex(ideal)
     ok = facets(bu) == [(0, 1, 2, 3), (1, 2, 3, 4)]
     ok &= f_vector(bu) == (5, 9, 7, 2)
-    ok &= homogenized_resolution(bu).ranks() == (5, 9, 7, 2)
+    ok &= helpers.homogenized_resolution(bu).ranks() == (5, 9, 7, 2)
     ok &= buchberger_minimality(ideal)
     elapsed = time.perf_counter() - start
     ok &= elapsed < 1.0
@@ -206,7 +205,7 @@ def test_criterion_10_structural_property_suites():
                     if sum(v * maps[k][m].get(j, 0) for m, v in row.items()) != 0:
                         bad.append(("integer-boundary", seed))
         ideal = helpers.ideal_from_seed(seed, 4, 5, 4)
-        if not homogenized_resolution(buchberger_complex(ideal)).compose_zero():
+        if not helpers.homogenized_resolution(buchberger_complex(ideal)).compose_zero():
             bad.append(("symbolic-boundary", seed))
 
     # Euler characteristic equals the alternating Betti sum

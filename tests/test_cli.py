@@ -192,6 +192,15 @@ class TestVerifyCommand:
         data = json.loads(out)
         assert len(data["ideal"]["generators"]) == ngens
         assert data["report"]["all_passed"] is True
+        # the label checks scan every generator subset, up to 12 generators
+        skipped = {
+            c["name"]: c["reason"] for c in data["report"]["checks"] if c["status"] == "skipped"
+        }
+        reason = f"{ngens} generators exceed the exhaustive subset limit 12"
+        assert skipped == {
+            "minimality-biconditional": reason,
+            "scarf-membership-lemma": reason,
+        }
 
 
 class TestRandomCommand:
@@ -292,6 +301,23 @@ class TestCapFlags:
         assert code == 3
         assert "cap 2" in err
 
+    @pytest.mark.parametrize(
+        "argv, flag",
+        [
+            (["complex", "--inline", EXAMPLE_TEXT, "--kind", "bu"], "--cap-faces"),
+            (["betti", "--inline", EXAMPLE_TEXT, "--method", "agreement"], "--cap-lattice"),
+            (["verify", "--inline", EXAMPLE_TEXT], "--cap-faces"),
+            (CONJECTURE_ARGV, "--cap-cliques"),
+            (["ibar", "--inline", "vars: 2\nx1^2\nx2^2\n"], "--cap-lattice"),
+        ],
+    )
+    @pytest.mark.parametrize("value", ["0", "-1"])
+    def test_nonpositive_cap_exits_2(self, capsys, argv, flag, value):
+        code, out, err = run(capsys, [*argv, f"{flag}={value}"])
+        assert code == 2
+        assert out == ""
+        assert "caps must be positive" in err
+
     def test_clique_cap_skips_the_conjecture_trial(self, capsys):
         code, out, _ = run(capsys, [*CONJECTURE_ARGV, "--cap-cliques", "2", "--format", "json"])
         assert code == 0
@@ -359,6 +385,34 @@ class TestConjectureCommand:
             # the regenerated instances satisfy the planar three-variable picture
             graph = buchberger_graph(random_ideal(record.spec()))
             assert is_planar(graph) and is_connected(graph)
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["--vars", "3", "--trials", "-3"],
+            ["--vars", "0", "--trials", "0"],
+            ["--vars", "0", "--trials", "1"],
+        ],
+        ids=["trials-3", "vars0-trials0", "vars0-trials1"],
+    )
+    def test_invalid_run_exits_2_before_any_trial(self, capsys, tmp_path, argv):
+        log = tmp_path / "fuzz.jsonl"
+        code, out, err = run(
+            capsys,
+            ["conjecture", *argv, "--gens", "5", "--maxdeg", "4", "--log", str(log)],
+        )
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ")
+        assert not log.exists()
+
+    def test_zero_trials_is_an_empty_run(self, capsys):
+        code, out, _ = run(
+            capsys,
+            ["conjecture", "--vars", "3", "--gens", "5", "--maxdeg", "4", "--trials", "0"],
+        )
+        assert code == 0
+        assert out == "trials: 0  consistent: 0  candidates: 0  skipped: 0\n"
 
 
 def count_calls(monkeypatch, module, name):

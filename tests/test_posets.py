@@ -23,7 +23,7 @@ from monores import (
     reduced_homology,
 )
 from monores.homology import mask_face
-from monores.posets import _interval_elements
+from monores.posets import _divisibility_poset, _interval_elements
 
 seeds = st.integers(0, 10_000)
 
@@ -38,27 +38,20 @@ def xy_ideal():
 
 
 class TestFinitePoset:
-    def test_axiom_validation(self):
-        with pytest.raises(ValueError, match="reflexive"):
-            FinitePoset([1, 2], lambda a, b: a < b)
-        with pytest.raises(ValueError, match="antisymmetric"):
-            FinitePoset([1, 2], lambda a, b: True)
-        # a non-transitive comparator: 1 -> 2 -> 3 but not 1 -> 3
-        rel = {(1, 1), (2, 2), (3, 3), (1, 2), (2, 3)}
-        with pytest.raises(ValueError, match="transitive"):
-            FinitePoset([1, 2, 3], lambda a, b: (a, b) in rel)
-
     def test_duplicate_elements_rejected(self):
-        with pytest.raises(ValueError):
-            FinitePoset([1, 1], lambda a, b: a <= b)
+        with pytest.raises(ValueError, match="distinct"):
+            FinitePoset([1, 1], [0b01, 0b11])
 
     @given(seeds)
     def test_down_masks_match_comparator(self, seed):
         elements = lcm_lattice(helpers.ideal_from_seed(seed, 3, 5, 3)).elements
-        poset = FinitePoset(elements, divides)
+        poset = _divisibility_poset(3, elements)
         for j, b in enumerate(elements):
             expected = sum(1 << i for i, a in enumerate(elements) if divides(a, b))
             assert poset.down_mask(j) == expected
+            assert poset.up_mask(j) == sum(
+                1 << i for i, a in enumerate(elements) if divides(b, a)
+            )
 
 
 class TestDivisibilityPosets:
@@ -70,7 +63,7 @@ class TestDivisibilityPosets:
         posets += [open_interval(lattice, m) for m in lattice.elements if any(m)]
         for poset in posets:
             # the comparator poset checks the order axioms on construction
-            reference = FinitePoset(poset.elements, divides)
+            reference = helpers.comparator_poset(poset.elements, divides)
             indices = range(len(poset))
             assert [poset.up_mask(i) for i in indices] == [
                 reference.up_mask(i) for i in indices
@@ -204,6 +197,29 @@ class TestAgreementPoset:
         with pytest.raises(ValueError, match="not an lcm-lattice element"):
             agreement_poset(xy_ideal(), (9, 9))
 
+    @given(seeds, st.integers(3, 5))
+    def test_masks_and_order_match_inclusion_comparator(self, seed, nvars):
+        ideal = helpers.ideal_from_seed(seed, nvars, 6, 4)
+        lattice = lcm_lattice(ideal)
+        for m in lattice.elements:
+            if not any(m):
+                continue
+            poset = agreement_poset(ideal, m, lattice=lattice)
+            sets = {
+                frozenset(i for i, (a, b) in enumerate(zip(e, m)) if a == b)
+                for e in helpers.interval_elements_oracle(lattice, m)
+            }
+            elements = sorted(sets, key=lambda s: (len(s), sorted(s)))
+            reference = helpers.comparator_poset(elements, frozenset.issubset)
+            assert poset.elements == reference.elements
+            indices = range(len(poset))
+            assert [poset.down_mask(i) for i in indices] == [
+                reference.down_mask(i) for i in indices
+            ]
+            assert [poset.up_mask(i) for i in indices] == [
+                reference.up_mask(i) for i in indices
+            ]
+
     @given(seeds)
     def test_homology_matches_interval(self, seed):
         ideal = helpers.ideal_from_seed(seed, 3, 4, 3)
@@ -239,15 +255,15 @@ def poset_family(ideal):
 class TestStrongCore:
     def test_restrict_matches_comparator_subposet(self):
         values = [1, 2, 3, 4, 6, 8, 12, 24]
-        poset = FinitePoset(values, lambda a, b: b % a == 0)
+        poset = helpers.comparator_poset(values, lambda a, b: b % a == 0)
         sub = poset.restrict(0b01101110)  # 2, 3, 4, 8, 12
-        reference = FinitePoset([2, 3, 4, 8, 12], lambda a, b: b % a == 0)
+        reference = helpers.comparator_poset([2, 3, 4, 8, 12], lambda a, b: b % a == 0)
         assert sub.elements == reference.elements
         assert [sub.up_mask(i) for i in range(5)] == [reference.up_mask(i) for i in range(5)]
         assert [sub.down_mask(i) for i in range(5)] == [reference.down_mask(i) for i in range(5)]
 
     def test_unique_maximum_goes_to_a_point(self):
-        poset = FinitePoset([(1, 0), (0, 1), (1, 1)], lambda a, b: all(x <= y for x, y in zip(a, b)))
+        poset = helpers.comparator_poset([(1, 0), (0, 1), (1, 1)], divides)
         assert strong_core(poset).bit_count() == 1
 
     @given(seeds, st.integers(2, 8))
@@ -310,28 +326,28 @@ class TestIntervalCrosscut:
 
 class TestOrderComplex:
     def test_antichain(self):
-        poset = FinitePoset([(1, 0), (0, 1)], lambda a, b: all(x <= y for x, y in zip(a, b)))
+        poset = helpers.comparator_poset([(1, 0), (0, 1)], divides)
         oc = order_complex(poset)
         assert oc.dim == 0
         assert len(oc.faces(0)) == 2
 
     def test_total_order_full_simplex(self):
-        poset = FinitePoset([1, 2, 4, 8], lambda a, b: b % a == 0)
+        poset = helpers.comparator_poset([1, 2, 4, 8], lambda a, b: b % a == 0)
         oc = order_complex(poset)
         assert len(oc) == 16
 
     def test_unique_maximum_is_acyclic(self):
-        poset = FinitePoset([(1, 0), (0, 1), (1, 1)], lambda a, b: all(x <= y for x, y in zip(a, b)))
+        poset = helpers.comparator_poset([(1, 0), (0, 1), (1, 1)], divides)
         assert reduced_homology(order_complex(poset)).trivial
 
     def test_chain_cap(self):
-        poset = FinitePoset(list(range(1, 9)), lambda a, b: a == b or a < b)
+        poset = helpers.comparator_poset(list(range(1, 9)), lambda a, b: a == b or a < b)
         with pytest.raises(CapExceededError):
             order_complex(poset, max_chains=10)
 
     @given(st.lists(st.integers(1, 60), min_size=1, max_size=12, unique=True))
     def test_chains_match_brute_force(self, values):
-        poset = FinitePoset(values, lambda a, b: b % a == 0)
+        poset = helpers.comparator_poset(values, lambda a, b: b % a == 0)
         assert order_complex(poset).face_set() == helpers.chains_oracle(poset)
 
     @given(seeds)
@@ -354,22 +370,24 @@ class TestCrosscut:
             assert gamma.face_set() == buchberger_complex(ideal).face_set()
 
     def test_singleton(self):
-        poset = FinitePoset([1], lambda a, b: True if a == b else False)
+        poset = helpers.comparator_poset([1], lambda a, b: True if a == b else False)
         gamma = crosscut_complex(poset, [0])
         assert gamma.face_set() == {(), (0,)}
 
     def test_global_maximum_gives_full_simplex(self):
-        poset = FinitePoset(
+        poset = helpers.comparator_poset(
             [(1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 1)],
-            lambda a, b: all(x <= y for x, y in zip(a, b)),
+            divides,
         )
         gamma = crosscut_complex(poset, [0, 1, 2])
         assert len(gamma) == 8
 
     def test_rejects_non_antichain(self):
-        poset = FinitePoset([1, 2], lambda a, b: b % a == 0)
-        with pytest.raises(ValueError):
-            crosscut_complex(poset, [0, 1])
+        # 1 and 2 divide 4; 1 also divides 2
+        poset = helpers.comparator_poset([1, 2, 4], lambda a, b: b % a == 0)
+        for members in ([0, 1], [1, 0], [2, 0], [1, 2]):
+            with pytest.raises(ValueError, match="antichain"):
+                crosscut_complex(poset, members)
 
     @given(seeds)
     def test_crosscut_homotopy_rank_equality(self, seed):

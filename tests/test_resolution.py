@@ -15,7 +15,6 @@ from monores import (
     clique_complex,
     conjecture_evidence,
     conjecture_verdict,
-    homogenized_resolution,
     is_buchberger_degree,
     is_minimal_complex,
     lcm_lattice,
@@ -43,29 +42,29 @@ def squarefree_example():
 
 class TestHomogenizedResolution:
     def test_example_ranks(self):
-        res = homogenized_resolution(buchberger_complex(example_ideal()))
+        res = helpers.homogenized_resolution(buchberger_complex(example_ideal()))
         assert res.ranks() == (5, 9, 7, 2)
 
     def test_single_generator(self):
-        res = homogenized_resolution(buchberger_complex(minimalize(2, [(1, 1)])))
+        res = helpers.homogenized_resolution(buchberger_complex(minimalize(2, [(1, 1)])))
         assert res.ranks() == (1,)
         assert res.augmentation == ((1, 1),)
 
     def test_augmentation_is_generator_list(self):
         ideal = example_ideal()
-        res = homogenized_resolution(buchberger_complex(ideal))
+        res = helpers.homogenized_resolution(buchberger_complex(ideal))
         assert res.augmentation == ideal.generators
 
     @given(seeds)
     def test_symbolic_composition_zero(self, seed):
         ideal = helpers.ideal_from_seed(seed, 4, 5, 4)
-        res = homogenized_resolution(buchberger_complex(ideal))
+        res = helpers.homogenized_resolution(buchberger_complex(ideal))
         assert res.compose_zero()
 
     @given(seeds)
     def test_entries_have_nonnegative_exponents(self, seed):
         ideal = helpers.ideal_from_seed(seed, 4, 5, 4)
-        res = homogenized_resolution(taylor_complex(ideal))
+        res = helpers.homogenized_resolution(taylor_complex(ideal))
         for i in range(1, len(res.basis)):
             for _, _, sign, exponents in res.differential(i):
                 assert sign in (-1, 1)
@@ -241,6 +240,18 @@ class TestScarfEquivalence:
     def test_random_battery(self, seed):
         ideal = helpers.ideal_from_seed(seed, 4, 5, 4)
         assert verify_scarf_equivalence(ideal).all_passed
+
+    def test_label_checks_skipped_above_the_subset_limit(self):
+        gens = helpers.ideal_from_seed(0, 4, 40, 6).generators
+        label_checks = ("minimality-biconditional", "scarf-membership-lemma")
+        twelve = verify_scarf_equivalence(minimalize(4, gens[:12]))
+        assert all(twelve.statuses()[name] == "pass" for name in label_checks)
+        report = verify_scarf_equivalence(minimalize(4, gens[:13]))
+        assert report.all_passed
+        for check in report.checks:
+            if check.name in label_checks:
+                assert check.status == "skipped"
+                assert check.reason == "13 generators exceed the exhaustive subset limit 12"
 
     @given(seeds)
     def test_minimality_matches_scarf_equality(self, seed):
