@@ -48,22 +48,20 @@ from .monomials import (
     format_ideal,
     ibar_extend,
     is_generic,
-    is_strongly_generic,
     lcm_of,
     minimalize,
     parse_ideal,
     properly_divides,
     random_ideal,
-    restrict,
 )
 from .posets import (
     FinitePoset,
     LcmLattice,
     agreement_poset,
+    agreement_sets,
     buchberger_degree_poset,
     crosscut_complex,
     interval_crosscut,
-    is_buchberger_degree,
     lcm_lattice,
     open_interval,
     order_complex,

@@ -155,9 +155,6 @@ class SimpleGraph:
             if not 0 <= i < j < self.vertex_count:
                 raise ValueError(f"bad edge {e}")
 
-    def has_edge(self, i: int, j: int) -> bool:
-        return (min(i, j), max(i, j)) in self.edges
-
     def adjacency_masks(self) -> list[int]:
         masks = [0] * self.vertex_count
         for i, j in self.edges:

@@ -200,23 +200,6 @@ def minimalize(nvars: int, vectors) -> MonomialIdeal:
     return ideal
 
 
-def restrict(ideal: MonomialIdeal, m: Multidegree) -> MonomialIdeal:
-    """The subideal generated by the generators dividing m (automatically minimal)."""
-    m = _as_multidegree(m, ideal.nvars)
-    return MonomialIdeal(ideal.nvars, tuple(g for g in ideal.generators if _divides(g, m)))
-
-
-def is_strongly_generic(ideal: MonomialIdeal) -> bool:
-    """No two generators share a positive exponent in any variable."""
-    gens = ideal.generators
-    for i in range(len(gens)):
-        for j in range(i + 1, len(gens)):
-            for x, y in zip(gens[i], gens[j]):
-                if x == y != 0:
-                    return False
-    return True
-
-
 def is_generic(ideal: MonomialIdeal) -> bool:
     """Whenever two generators share a positive exponent, a third one properly
     divides their lcm."""

@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+from itertools import compress
+from operator import eq
+
 from .complexes import SimplicialComplex
 from .errors import CapExceededError
 from .homology import mask_face
@@ -179,15 +182,6 @@ def interval_crosscut(
     return SimplicialComplex.from_masks(faces[1:])
 
 
-def is_buchberger_degree(ideal: MonomialIdeal, m, *, lattice: LcmLattice | None = None) -> bool:
-    """True when no generator properly divides the lattice element m."""
-    lattice = lattice or lcm_lattice(ideal)
-    m = tuple(m)
-    if m not in lattice:
-        raise ValueError(f"{m} is not an lcm-lattice element")
-    return not ideal.divisibility.strictly_dividing(m)
-
-
 def buchberger_degree_poset(
     ideal: MonomialIdeal,
     *,
@@ -201,24 +195,30 @@ def buchberger_degree_poset(
     return _divisibility_poset(ideal.nvars, degrees)
 
 
-def agreement_poset(
+def agreement_sets(
     ideal: MonomialIdeal, m, *, lattice: LcmLattice | None = None
-) -> FinitePoset:
-    """Distinct variable-agreement sets of interval elements, ordered by inclusion.
+) -> tuple[int, ...]:
+    """Distinct variable-agreement sets of the elements strictly between 1 and m.
 
-    Each element strictly between 1 and m contributes the set of variable
-    indices where its exponent equals the one of m.  A set is ordered as its
-    0/1 vector, since inclusion of sets is divisibility of those vectors.
+    Each such element e gives the bitmask of the variables t with
+    e_t = m_t.  The masks come sorted by size, then by value, so equal
+    families are equal tuples.
     """
     lattice = lattice or lcm_lattice(ideal)
     m = tuple(m)
-    sets = {
-        frozenset(i for i, (a, b) in enumerate(zip(e, m)) if a == b)
-        for e in _interval_elements(lattice, m)
-    }
-    elems = sorted(sets, key=lambda s: (len(s), sorted(s)))
-    vectors = [tuple(int(i in s) for i in range(ideal.nvars)) for s in elems]
-    return _divisibility_poset(ideal.nvars, vectors, elems)
+    bits = [1 << t for t in range(len(m))]
+    sets = {sum(compress(bits, map(eq, e, m))) for e in _interval_elements(lattice, m)}
+    return tuple(sorted(sets, key=lambda s: (s.bit_count(), s)))
+
+
+def agreement_poset(nvars: int, sets) -> FinitePoset:
+    """Variable bitmasks ordered by inclusion, carrying the masks as payloads.
+
+    A mask is ordered as its 0/1 vector, since inclusion of sets is
+    divisibility of those vectors.
+    """
+    vectors = [tuple(s >> t & 1 for t in range(nvars)) for s in sets]
+    return _divisibility_poset(nvars, vectors, sets)
 
 
 def order_complex(poset: FinitePoset, *, max_chains: int = CHAIN_CAP) -> SimplicialComplex:

@@ -48,10 +48,10 @@ from .posets import (
     FinitePoset,
     LcmLattice,
     agreement_poset,
+    agreement_sets,
     buchberger_degree_poset,
     crosscut_complex,
     interval_crosscut,
-    is_buchberger_degree,
     lcm_lattice,
     open_interval,
     order_complex,
@@ -279,18 +279,24 @@ def betti_from_agreement(
 ) -> BettiTable:
     """Betti numbers from agreement-poset homology; zero off Buchberger degrees.
 
-    The order complex is built on each poset's strong core only.
+    The poset of a degree depends only on its family of agreement sets, so
+    each distinct family's homology is read once per call, on the order
+    complex of its poset's strong core.
     """
     lattice = lattice or lcm_lattice(ideal, max_elements=max_lattice)
+    strictly_dividing = ideal.divisibility.strictly_dividing
+    ranks_of: dict[tuple[int, ...], tuple[int, ...]] = {}
     entries: dict[tuple[int, Multidegree], int] = {}
     for m in lattice.elements:
-        if not any(m):
+        if not any(m) or strictly_dividing(m):
             continue
-        if not is_buchberger_degree(ideal, m, lattice=lattice):
-            continue
-        poset = agreement_poset(ideal, m, lattice=lattice)
-        ranks = reduced_homology(order_complex(_strong_core(poset), max_chains=max_chains), field)
-        for i, r in enumerate(ranks.ranks):
+        sets = agreement_sets(ideal, m, lattice=lattice)
+        ranks = ranks_of.get(sets)
+        if ranks is None:
+            core = _strong_core(agreement_poset(ideal.nvars, sets))
+            chains = order_complex(core, max_chains=max_chains)
+            ranks = ranks_of[sets] = reduced_homology(chains, field).ranks
+        for i, r in enumerate(ranks):
             if r:
                 entries[(i, m)] = r
     return BettiTable(entries)

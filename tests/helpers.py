@@ -11,9 +11,42 @@ from fractions import Fraction
 from itertools import combinations
 import random
 
-from monores import FinitePoset, IdealRandomSpec, random_ideal
+from monores import (
+    BettiTable,
+    FieldSpec,
+    FinitePoset,
+    IdealRandomSpec,
+    MonomialIdeal,
+    lcm_lattice,
+    order_complex,
+    random_ideal,
+    reduced_homology,
+)
 from monores.cli import derive_trial_seed
 from monores.monomials import divides, lcm_of, properly_divides
+
+
+def restrict(ideal, m):
+    """The subideal generated by the generators dividing m (automatically minimal)."""
+    return MonomialIdeal(ideal.nvars, tuple(g for g in ideal.generators if divides(g, m)))
+
+
+def is_strongly_generic(ideal):
+    """No two generators share a positive exponent in any variable."""
+    return all(
+        x != y or x == 0
+        for a, b in combinations(ideal.generators, 2)
+        for x, y in zip(a, b)
+    )
+
+
+def is_buchberger_degree(ideal, m):
+    """True when no generator properly divides m, by a generator scan."""
+    return not any(properly_divides(g, m) for g in ideal.generators)
+
+
+def has_edge(graph, i, j):
+    return (min(i, j), max(i, j)) in graph.edges
 
 
 def minimalize_oracle(vectors):
@@ -88,7 +121,7 @@ def clique_oracle(graph):
         subset
         for k in range(n + 1)
         for subset in combinations(range(n), k)
-        if all(graph.has_edge(i, j) for i, j in combinations(subset, 2))
+        if all(has_edge(graph, i, j) for i, j in combinations(subset, 2))
     }
 
 
@@ -223,6 +256,28 @@ def comparator_poset(elements, leq):
                 raise ValueError("order relation is not transitive")
     down = [sum(1 << i for i in range(n) if up[i] >> j & 1) for j in range(n)]
     return FinitePoset(elements, down)
+
+
+def agreement_betti_oracle(ideal, field=FieldSpec(0)):
+    """Agreement Betti numbers with no lookup and no strong collapses.
+
+    Per Buchberger degree m: the frozenset agreement sets of the elements
+    strictly between 1 and m, their inclusion order by comparator, every
+    chain of it, and the reduced homology of that order complex.
+    """
+    lattice = lcm_lattice(ideal)
+    entries = {}
+    for m in lattice.elements:
+        if not any(m) or not is_buchberger_degree(ideal, m):
+            continue
+        sets = {
+            frozenset(t for t, (a, b) in enumerate(zip(e, m)) if a == b)
+            for e in interval_elements_oracle(lattice, m)
+        }
+        poset = comparator_poset(sets, frozenset.issubset)
+        for i, r in enumerate(reduced_homology(order_complex(poset), field).ranks):
+            entries[(i, m)] = r
+    return BettiTable(entries)
 
 
 def chains_oracle(poset):

@@ -26,7 +26,6 @@ from monores import (
     is_generic,
     is_minimal_complex,
     is_planar,
-    is_strongly_generic,
     lemma_battery,
     minimalize,
     random_ideal,
@@ -154,7 +153,7 @@ def test_criterion_08_strong_genericity_pipeline(corpus_strongly_generic):
     for ideal in corpus_strongly_generic:
         graph = buchberger_graph(ideal)
         good = (
-            is_strongly_generic(ideal)
+            helpers.is_strongly_generic(ideal)
             and is_generic(ideal)
             and is_planar(graph)
             and is_connected(graph)

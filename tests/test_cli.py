@@ -217,9 +217,10 @@ class TestRandomCommand:
              "--mode", "strongly-generic", "--seed", "4"],
         )
         assert code == 0
-        from monores import is_strongly_generic, parse_ideal
+        import helpers
+        from monores import parse_ideal
 
-        assert is_strongly_generic(parse_ideal(out))
+        assert helpers.is_strongly_generic(parse_ideal(out))
 
     def test_feeds_verify(self, capsys):
         _, ideal_text, _ = run(
@@ -500,6 +501,31 @@ class TestBuildCounts:
         assert len(listed) == len(collapsed) == len(intervals)
         assert observed == expected
         assert sum(len(f) for _, f in expected) < sum(n for n, _ in expected)
+
+    def test_agreement_method_reads_each_family_once_per_call(self, capsys, monkeypatch):
+        # a degree's agreement poset depends only on its family of agreement
+        # sets; each family is built and read once, and no call reuses the
+        # families of an earlier one
+        from monores import format_ideal, homology, lcm_lattice, posets, random_ideal
+
+        ideal = random_ideal(IdealRandomSpec(4, 8, 12, "strongly-generic", 3))
+        lattice = lcm_lattice(ideal)
+        strictly_dividing = ideal.divisibility.strictly_dividing
+        families = [
+            posets.agreement_sets(ideal, m, lattice=lattice)
+            for m in lattice.elements
+            if any(m) and not strictly_dividing(m)
+        ]
+        first_seen = list(dict.fromkeys(families))
+        assert len(first_seen) < len(families)
+        built = count_calls(monkeypatch, posets, "agreement_poset")
+        read = count_calls(monkeypatch, homology, "reduced_homology")
+        argv = ["betti", "--inline", format_ideal(ideal), "--method", "agreement"]
+        for _ in range(2):
+            code, _, _ = run(capsys, argv)
+            assert code == 0
+        assert [sets for (_, sets), _ in built] == first_seen * 2
+        assert len(read) == 2 * len(first_seen)
 
     def test_two_calls_build_the_parser_once(self, capsys, monkeypatch):
         from monores import cli

@@ -9,13 +9,13 @@ from monores import (
     LcmLattice,
     SimplicialComplex,
     agreement_poset,
+    agreement_sets,
     buchberger_complex,
     buchberger_degree_poset,
     crosscut_complex,
     dismantle,
     divides,
     interval_crosscut,
-    is_buchberger_degree,
     lcm_lattice,
     minimalize,
     open_interval,
@@ -147,13 +147,12 @@ class TestBuchbergerDegrees:
         ideal = example_ideal()
         poset = buchberger_degree_poset(ideal)
         assert (2, 0, 2, 0) not in set(poset.elements)
-        assert not is_buchberger_degree(ideal, (2, 0, 2, 0))
+        assert not helpers.is_buchberger_degree(ideal, (2, 0, 2, 0))
 
     def test_generators_are_degrees(self):
         ideal = example_ideal()
-        lattice = lcm_lattice(ideal)
         for g in ideal.generators:
-            assert is_buchberger_degree(ideal, g, lattice=lattice)
+            assert helpers.is_buchberger_degree(ideal, g)
 
     def test_squarefree_keeps_everything(self):
         ideal = minimalize(6, [(1, 0, 0, 1, 0, 0), (0, 1, 0, 0, 1, 0),
@@ -169,7 +168,7 @@ class TestBuchbergerDegrees:
         poset_elements = set(buchberger_degree_poset(ideal, lattice=lattice).elements)
         for m in lattice.elements:
             if any(m):
-                assert (m in poset_elements) == is_buchberger_degree(ideal, m, lattice=lattice)
+                assert (m in poset_elements) == helpers.is_buchberger_degree(ideal, m)
 
     @given(seeds)
     def test_is_lower_order_ideal(self, seed):
@@ -187,15 +186,20 @@ class TestBuchbergerDegrees:
 class TestAgreementPoset:
     def test_atom_gives_empty_poset(self):
         ideal = xy_ideal()
-        assert len(agreement_poset(ideal, (2, 0))) == 0
+        assert agreement_sets(ideal, (2, 0)) == ()
+        assert len(agreement_poset(2, ())) == 0
 
     def test_xy_example(self):
-        poset = agreement_poset(xy_ideal(), (2, 2))
-        assert set(poset.elements) == {frozenset(), frozenset({0}), frozenset({1})}
+        # x^2, xy and y^2 lie under x^2y^2 and agree with it on x, none and y
+        sets = agreement_sets(xy_ideal(), (2, 2))
+        assert sets == (0b00, 0b01, 0b10)
+        poset = agreement_poset(2, sets)
+        assert poset.elements == sets
+        assert [poset.up_mask(i) for i in range(3)] == [0b111, 0b010, 0b100]
 
     def test_membership_error(self):
         with pytest.raises(ValueError, match="not an lcm-lattice element"):
-            agreement_poset(xy_ideal(), (9, 9))
+            agreement_sets(xy_ideal(), (9, 9))
 
     @given(seeds, st.integers(3, 5))
     def test_masks_and_order_match_inclusion_comparator(self, seed, nvars):
@@ -204,14 +208,14 @@ class TestAgreementPoset:
         for m in lattice.elements:
             if not any(m):
                 continue
-            poset = agreement_poset(ideal, m, lattice=lattice)
+            poset = agreement_poset(nvars, agreement_sets(ideal, m, lattice=lattice))
             sets = {
                 frozenset(i for i, (a, b) in enumerate(zip(e, m)) if a == b)
                 for e in helpers.interval_elements_oracle(lattice, m)
             }
-            elements = sorted(sets, key=lambda s: (len(s), sorted(s)))
+            elements = sorted(sets, key=lambda s: (len(s), sum(1 << i for i in s)))
             reference = helpers.comparator_poset(elements, frozenset.issubset)
-            assert poset.elements == reference.elements
+            assert poset.elements == tuple(sum(1 << i for i in s) for s in elements)
             indices = range(len(poset))
             assert [poset.down_mask(i) for i in indices] == [
                 reference.down_mask(i) for i in indices
@@ -225,10 +229,11 @@ class TestAgreementPoset:
         ideal = helpers.ideal_from_seed(seed, 3, 4, 3)
         lattice = lcm_lattice(ideal)
         for m in lattice.elements:
-            if not any(m) or not is_buchberger_degree(ideal, m, lattice=lattice):
+            if not any(m) or not helpers.is_buchberger_degree(ideal, m):
                 continue
             a = reduced_homology(order_complex(open_interval(lattice, m)))
-            b = reduced_homology(order_complex(agreement_poset(ideal, m, lattice=lattice)))
+            sets = agreement_sets(ideal, m, lattice=lattice)
+            b = reduced_homology(order_complex(agreement_poset(ideal.nvars, sets)))
             assert _padded_equal(a.ranks, b.ranks)
 
 
@@ -248,8 +253,8 @@ def poset_family(ideal):
     for m in lattice.elements:
         if any(m):
             yield open_interval(lattice, m)
-            if is_buchberger_degree(ideal, m, lattice=lattice):
-                yield agreement_poset(ideal, m, lattice=lattice)
+            if helpers.is_buchberger_degree(ideal, m):
+                yield agreement_poset(ideal.nvars, agreement_sets(ideal, m, lattice=lattice))
 
 
 class TestStrongCore:

@@ -1,3 +1,6 @@
+import json
+from pathlib import Path
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -15,7 +18,6 @@ from monores import (
     clique_complex,
     conjecture_evidence,
     conjecture_verdict,
-    is_buchberger_degree,
     is_minimal_complex,
     lcm_lattice,
     lemma_battery,
@@ -166,7 +168,8 @@ class TestBettiTables:
         table = betti_from_intervals(ideal)
         for (i, m), rank in table.entries():
             assert rank >= 0
-            assert is_buchberger_degree(ideal, m, lattice=lattice)
+            assert m in lattice
+            assert helpers.is_buchberger_degree(ideal, m)
 
     def test_rejects_non_minimal(self):
         with pytest.raises(NotMinimalError):
@@ -217,6 +220,67 @@ class TestBettiTables:
         assert mod_two.totals() == (10, 15, 7, 1)
         assert betti_from_agreement(ideal, FieldSpec(0), lattice=lattice) == rational
         assert betti_from_agreement(ideal, FieldSpec(2), lattice=lattice) == mod_two
+
+
+ROADMAP_TABLES = json.loads(
+    Path(__file__).with_name("agreement_roadmap_tables.json").read_text()
+)
+
+
+class TestAgreementFamilies:
+    """Each distinct family of agreement sets is read once per call."""
+
+    @given(
+        seeds,
+        st.integers(2, 5),
+        st.integers(1, 6),
+        st.sampled_from([("arbitrary", 4), ("strongly-generic", 8)]),
+    )
+    def test_matches_the_oracle_without_lookup(self, seed, nvars, ngens, family):
+        mode, maxdeg = family
+        ideal = random_ideal(IdealRandomSpec(nvars, ngens, maxdeg, mode, seed))
+        lattice = lcm_lattice(ideal)
+        for characteristic in (0, 2):
+            f = FieldSpec(characteristic)
+            assert betti_from_agreement(ideal, f, lattice=lattice) == (
+                helpers.agreement_betti_oracle(ideal, f)
+            )
+
+    def test_chain_cap_bounds_every_family(self):
+        # the cap applies to each family's first degree: the largest core's
+        # chain count passes and one less raises
+        from monores import CapExceededError, agreement_poset, agreement_sets, order_complex
+        from monores.resolution import _strong_core
+
+        ideal = example_ideal()
+        lattice = lcm_lattice(ideal)
+        dividing = ideal.divisibility.strictly_dividing
+        families = {
+            agreement_sets(ideal, m, lattice=lattice)
+            for m in lattice.elements
+            if any(m) and not dividing(m)
+        }
+        most = max(
+            len(order_complex(_strong_core(agreement_poset(ideal.nvars, sets))))
+            for sets in families
+        )
+        expected = betti_from_agreement(ideal, lattice=lattice)
+        assert betti_from_agreement(ideal, lattice=lattice, max_chains=most) == expected
+        with pytest.raises(CapExceededError, match=f"chain count exceeds cap {most - 1}"):
+            betti_from_agreement(ideal, lattice=lattice, max_chains=most - 1)
+
+    @pytest.mark.parametrize("command", sorted(ROADMAP_TABLES))
+    def test_roadmap_ideals_keep_their_tables(self, command):
+        # 13-14 generators; the tables were computed one degree at a time,
+        # with no lookup of families
+        nvars, ngens, maxdeg, seed = (int(w) for w in command.split()[2::2])
+        ideal = random_ideal(IdealRandomSpec(nvars, ngens, maxdeg, "arbitrary", seed))
+        expected = ROADMAP_TABLES[command]
+        lattice = lcm_lattice(ideal)
+        for characteristic in (0, 2):
+            table = betti_from_agreement(ideal, FieldSpec(characteristic), lattice=lattice)
+            assert list(table.totals()) == expected["totals"]
+            assert [[i, list(m), r] for (i, m), r in table.entries()] == expected["entries"]
 
 
 class TestScarfEquivalence:
