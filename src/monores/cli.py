@@ -102,6 +102,7 @@ class FuzzRecord:
     reverified: bool = False
     timestamp: str = ""
     tool_version: str = __version__
+    max_cliques: int = CLIQUE_CAP
 
     def spec(self) -> IdealRandomSpec:
         return IdealRandomSpec(self.nvars, self.ngens, self.max_degree, self.mode, self.seed)
@@ -120,6 +121,9 @@ class FuzzRecord:
             "timestamp": self.timestamp,
             "tool_version": self.tool_version,
         }
+        # only a non-default cap is written, so default logs keep their bytes
+        if self.max_cliques != CLIQUE_CAP:
+            data["max_cliques"] = self.max_cliques
         return json.dumps(data, sort_keys=True)
 
     @classmethod
@@ -137,6 +141,7 @@ class FuzzRecord:
             reverified=data.get("reverified", False),
             timestamp=data.get("timestamp", ""),
             tool_version=data.get("tool_version", ""),
+            max_cliques=data.get("max_cliques", CLIQUE_CAP),
         )
 
 
@@ -167,13 +172,18 @@ def run_conjecture_trial(spec: IdealRandomSpec, fields, *, max_cliques: int = CL
         checks=report.statuses(),
         reverified=reverified,
         timestamp=time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
+        max_cliques=max_cliques,
     )
 
 
-def replay_fuzz_record(record: FuzzRecord, *, max_cliques: int = CLIQUE_CAP) -> bool:
-    """Regenerate the instance and confirm the stored verdict and statuses."""
+def replay_fuzz_record(record: FuzzRecord) -> bool:
+    """Regenerate the instance and confirm the stored verdict and statuses.
+
+    The trial reruns under the record's clique cap, so a trial skipped at a
+    lowered cap replays as skipped.
+    """
     fields = tuple(FieldSpec(c) for c in record.characteristics)
-    fresh = run_conjecture_trial(record.spec(), fields, max_cliques=max_cliques)
+    fresh = run_conjecture_trial(record.spec(), fields, max_cliques=record.max_cliques)
     return fresh.verdict == record.verdict and fresh.checks == record.checks
 
 

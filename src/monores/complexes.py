@@ -17,7 +17,6 @@ from .monomials import (
     Multidegree,
     MonomialIdeal,
     _as_multidegree,
-    lcm_of,
     monomial_to_text,
 )
 
@@ -33,28 +32,26 @@ class SimplicialComplex:
 
     Bit v of a mask is vertex v.  The store holds the nonempty faces; the
     empty face is always present and counted by ``len``.  Sorted vertex
-    tuples exist only for callers that print, label or compare faces: a
-    complex built from tuples keeps them, one built from masks makes them on
-    first use.
+    tuples exist only for callers that print or compare faces: a complex
+    built from tuples keeps them, one built from masks makes them on first
+    use.
     """
 
     __slots__ = ("_masks", "_dim", "_by_dim", "_face_set", "_core")
 
-    def __init__(self, faces, *, validate: bool = True):
+    def __init__(self, faces):
         seen = {()}
         for f in faces:
             t = tuple(f)
-            if validate:
-                if any(not isinstance(v, int) or v < 0 for v in t):
-                    raise ValueError(f"face {t!r} has invalid vertices")
-                if any(t[i] >= t[i + 1] for i in range(len(t) - 1)):
-                    raise ValueError(f"face {t} is not strictly sorted")
+            if any(not isinstance(v, int) or v < 0 for v in t):
+                raise ValueError(f"face {t!r} has invalid vertices")
+            if any(t[i] >= t[i + 1] for i in range(len(t) - 1)):
+                raise ValueError(f"face {t} is not strictly sorted")
             seen.add(t)
-        if validate:
-            for f in seen:
-                for i in range(len(f)):
-                    if f[:i] + f[i + 1:] not in seen:
-                        raise ValueError(f"not downward closed: {f} lacks a facet")
+        for f in seen:
+            for i in range(len(f)):
+                if f[:i] + f[i + 1:] not in seen:
+                    raise ValueError(f"not downward closed: {f} lacks a facet")
         self._masks = frozenset(face_mask(t) for t in seen if t)
         self._by_dim = _faces_by_dim(seen)
         self._dim = self._face_set = self._core = None
@@ -122,24 +119,47 @@ class SimplicialComplex:
 
 
 class LabeledComplex(SimplicialComplex):
-    """Simplicial complex on the generators of an ideal, faces labeled by lcm."""
+    """Simplicial complex on the generators of an ideal, faces labeled by lcm.
+
+    Labels are kept by face mask.  A builder that has them already passes
+    them to ``from_masks``; otherwise they are computed on first read.
+    """
 
     __slots__ = ("ideal", "_labels")
 
-    def __init__(self, ideal: MonomialIdeal, faces, *, validate: bool = True):
-        super().__init__(faces, validate=validate)
-        self.ideal = ideal
-        gens = ideal.generators
-        if self.dim >= 0 and self.faces(0)[-1][0] >= len(gens):
+    def __init__(self, ideal: MonomialIdeal, faces):
+        super().__init__(faces)
+        if self._masks and max(self._masks).bit_length() > len(ideal.generators):
             raise ValueError("vertex index out of range for the ideal")
-        labels: dict[Face, Multidegree] = {(): (0,) * ideal.nvars}
-        for k in range(0, self.dim + 1):
-            for f in self.faces(k):
-                labels[f] = tuple(map(max, labels[f[:-1]], gens[f[-1]]))
-        self._labels = labels
+        self.ideal = ideal
+        self._labels = None
+
+    @classmethod
+    def from_masks(cls, ideal: MonomialIdeal, masks, labels=None) -> LabeledComplex:
+        """A complex from the bitmasks of its nonempty faces, downward closed.
+
+        ``labels``, when given, maps every face mask, 0 for the empty face
+        included, to the lcm of the face's generators.
+        """
+        complex_ = super().from_masks(masks)
+        complex_.ideal = ideal
+        complex_._labels = labels
+        return complex_
+
+    def labels(self) -> dict[int, Multidegree]:
+        """The label of every face by face mask, the empty face's under 0."""
+        if self._labels is None:
+            gens = self.ideal.generators
+            labels = {0: (0,) * self.ideal.nvars}
+            # a face minus its top vertex has a smaller mask, so it is labelled first
+            for m in sorted(self._masks):
+                top = m.bit_length() - 1
+                labels[m] = tuple(map(max, labels[m ^ 1 << top], gens[top]))
+            self._labels = labels
+        return self._labels
 
     def label(self, f) -> Multidegree:
-        return self._labels[tuple(f)]
+        return self.labels()[face_mask(f)]
 
 
 @dataclass(frozen=True)
@@ -192,25 +212,22 @@ def buchberger_complex(
         raise CapExceededError(
             f"{len(gens)} generators exceed the enumeration cap {max_generators}"
         )
-    zero = (0,) * ideal.nvars
-    out: list[Face] = []
-    frontier: list[tuple[Face, Multidegree]] = [((), zero)]
-    count = 0
+    frontier: list[tuple[int, Multidegree]] = [(0, (0,) * ideal.nvars)]
+    labels: dict[int, Multidegree] = {}
     while frontier:
-        out.extend(f for f, _ in frontier)
-        count += len(frontier)
-        if count > max_faces:
+        labels.update(frontier)
+        if len(labels) > max_faces:
             raise CapExceededError(f"face count exceeds cap {max_faces}")
         grown = []
-        for face, label in frontier:
-            for w in range(face[-1] + 1 if face else 0, len(gens)):
+        for mask, label in frontier:
+            # bit_length is one past the top vertex
+            for w in range(mask.bit_length(), len(gens)):
                 lab = tuple(map(max, label, gens[w]))
-                if strictly_dividing(lab):
-                    continue
-                grown.append((face + (w,), lab))
+                if not strictly_dividing(lab):
+                    grown.append((mask | 1 << w, lab))
         frontier = grown
-    # sorted and downward closed by construction
-    return LabeledComplex(ideal, out, validate=False)
+    # downward closed by construction
+    return LabeledComplex.from_masks(ideal, [m for m in labels if m], labels)
 
 
 def _scarf_faces(bu: LabeledComplex) -> list[Face]:
@@ -218,21 +235,19 @@ def _scarf_faces(bu: LabeledComplex) -> list[Face]:
 
     A face has a repeated lcm somewhere in the power set exactly when adding
     some outside vertex or dropping some member leaves the label unchanged,
-    because equal labels propagate along one-step inclusions.
+    because equal labels propagate along one-step inclusions.  The complex
+    is downward closed, so the label of a face minus one member is stored.
     """
-    ideal = bu.ideal
-    gens = ideal.generators
-    dividing = ideal.divisibility.dividing
+    dividing = bu.ideal.divisibility.dividing
+    labels = bu.labels()
     keep = []
     for k in range(-1, bu.dim + 1):
         for face in bu.faces(k):
-            label = bu.label(face)
-            if dividing(label) & ~face_mask(face):
+            mask = face_mask(face)
+            label = labels[mask]
+            if dividing(label) & ~mask:
                 continue
-            if any(
-                lcm_of([gens[w] for w in face if w != v], ideal.nvars) == label
-                for v in face
-            ):
+            if any(labels[mask ^ 1 << v] == label for v in face):
                 continue
             keep.append(face)
     return keep
@@ -266,22 +281,22 @@ def clique_complex(
     if n != len(ideal.generators):
         raise ValueError("graph vertices must match the ideal's generators")
     adj = graph.adjacency_masks()
-    out: list[Face] = []
-    frontier: list[tuple[Face, int]] = [((), 0)]
-    count = 0
+    out: list[int] = []
+    # (clique mask, the vertices above its top adjacent to all of it)
+    frontier: list[tuple[int, int]] = [(0, (1 << n) - 1)]
     while frontier:
-        out.extend(f for f, _ in frontier)
-        count += len(frontier)
-        if count > max_faces:
+        out.extend(m for m, _ in frontier)
+        if len(out) > max_faces:
             raise CapExceededError(f"clique count exceeds cap {max_faces}")
         grown = []
-        for face, mask in frontier:
-            for w in range(face[-1] + 1 if face else 0, n):
-                if adj[w] & mask == mask:
-                    grown.append((face + (w,), mask | 1 << w))
+        for clique, common in frontier:
+            while common:
+                low = common & -common
+                common ^= low
+                grown.append((clique | low, common & adj[low.bit_length() - 1]))
         frontier = grown
-    # sorted and downward closed by construction
-    return LabeledComplex(ideal, out, validate=False)
+    # downward closed by construction; labels are computed if read
+    return LabeledComplex.from_masks(ideal, out[1:])
 
 
 def subcomplex_dividing(complex_: LabeledComplex, m) -> SimplicialComplex:

@@ -30,6 +30,7 @@ from .homology import (
     INTEGRAL_CELL_CAP,
     integral_homology,
     is_acyclic,
+    mask_face,
     reduced_homology,
 )
 from .monomials import (
@@ -152,13 +153,13 @@ def is_minimal_complex(complex_: LabeledComplex) -> bool:
     Covering pairs suffice: labels divide along inclusions, so a repeated
     label on any comparable pair forces one on some covering pair.
     """
-    for k in range(1, complex_.dim + 1):
-        for f in complex_.faces(k):
-            lab = complex_.label(f)
-            for p in range(len(f)):
-                if complex_.label(f[:p] + f[p + 1:]) == lab:
-                    return False
-    return True
+    labels = complex_.labels()
+    return not any(
+        labels[mask ^ 1 << v] == lab
+        for mask, lab in labels.items()
+        if mask & (mask - 1)  # faces of dimension 1 and up
+        for v in mask_face(mask)
+    )
 
 
 def buchberger_minimality(
@@ -233,9 +234,9 @@ def betti_from_complex(complex_: LabeledComplex) -> BettiTable:
     if not is_minimal_complex(complex_):
         raise NotMinimalError("complex has a covering pair with equal labels")
     counts: dict[tuple[int, Multidegree], int] = {}
-    for k in range(0, complex_.dim + 1):
-        for f in complex_.faces(k):
-            key = (k, complex_.label(f))
+    for mask, label in complex_.labels().items():
+        if mask:
+            key = (mask.bit_count() - 1, label)
             counts[key] = counts.get(key, 0) + 1
     return BettiTable(counts)
 

@@ -363,6 +363,20 @@ class TestConjectureCommand:
         for line in log.read_text().splitlines():
             assert replay_fuzz_record(FuzzRecord.from_json_line(line))
 
+    def test_capped_records_replay(self, tmp_path, capsys):
+        # a trial skipped at the cap must be replayed at that cap, not at
+        # the default one under which it runs to a verdict
+        log = tmp_path / "capped.jsonl"
+        code, _, _ = run(
+            capsys,
+            ["conjecture", "--vars", "4", "--gens", "7", "--maxdeg", "4",
+             "--trials", "3", "--seed", "5", "--cap-cliques", "3", "--log", str(log)],
+        )
+        assert code == 0
+        records = [FuzzRecord.from_json_line(line) for line in log.read_text().splitlines()]
+        assert [r.verdict for r in records] == ["skipped"] * 3
+        assert all(replay_fuzz_record(r) for r in records)
+
     def test_strongly_generic_stream(self, tmp_path, capsys):
         from monores import (
             buchberger_graph,
@@ -437,6 +451,19 @@ def count_calls(monkeypatch, module, name):
     return calls
 
 
+def count_method_calls(monkeypatch, cls, name):
+    """Wrap the method ``cls.name``; each call records the type of its instance."""
+    original = getattr(cls, name)
+    calls = []
+
+    def counted(self, *args, **kwargs):
+        calls.append(type(self))
+        return original(self, *args, **kwargs)
+
+    monkeypatch.setattr(cls, name, counted)
+    return calls
+
+
 class TestBuildCounts:
     @pytest.mark.parametrize("text", [EXAMPLE_TEXT, SQUAREFREE_TEXT], ids=["example", "squarefree"])
     def test_verify_builds_complex_and_lattice_once(self, capsys, monkeypatch, text):
@@ -450,21 +477,30 @@ class TestBuildCounts:
         assert len(lattices_built) == 1
 
     def test_verify_builds_one_simplicial_complex(self, capsys, monkeypatch):
-        # the support criterion reads induced subcomplexes off the Buchberger
-        # complex's face masks, so only that complex runs the constructor
-        from monores.complexes import LabeledComplex, SimplicialComplex
+        # the Buchberger complex is built from its face masks and the support
+        # criterion reads induced subcomplexes off them, so no complex runs
+        # the tuple constructor
+        from monores.complexes import SimplicialComplex
 
-        original = SimplicialComplex.__init__
-        built = []
-
-        def counted(self, *args, **kwargs):
-            built.append(type(self))
-            original(self, *args, **kwargs)
-
-        monkeypatch.setattr(SimplicialComplex, "__init__", counted)
+        built = count_method_calls(monkeypatch, SimplicialComplex, "__init__")
         code, _, _ = run(capsys, ["verify", "--inline", EXAMPLE_TEXT, "--fields", "0,2"])
         assert code == 0
-        assert built == [LabeledComplex]
+        assert built == []
+
+    def test_conjecture_trial_builds_no_tuples_and_no_labels(self, monkeypatch):
+        # the clique complex is built from its masks, and the conjecture
+        # checks read no label, so the lcm pass never runs
+        from monores import homology
+        from monores.complexes import LabeledComplex, SimplicialComplex
+
+        built = count_method_calls(monkeypatch, SimplicialComplex, "__init__")
+        labelled = count_method_calls(monkeypatch, LabeledComplex, "labels")
+        record = run_conjecture_trial(
+            IdealRandomSpec(4, 7, 4, "arbitrary", 3), homology.DEFAULT_FIELDS
+        )
+        assert record.verdict == "consistent"
+        assert built == []
+        assert labelled == []
 
     def test_verify_lists_chains_of_the_degree_poset_only(self, capsys, monkeypatch):
         from monores import posets

@@ -23,6 +23,7 @@ from monores import (
     subcomplex_dividing,
     taylor_complex,
     lcm_lattice,
+    lcm_of,
     open_interval,
     order_complex,
     reduced_homology,
@@ -217,7 +218,9 @@ class TestTaylorAndClique:
     @pytest.mark.parametrize("nvars, ngens, maxdeg", [(3, 6, 3), (4, 8, 4), (5, 10, 5)])
     def test_built_without_validation_are_closed_and_exact(self, nvars, ngens, maxdeg):
         # both builders skip the downward-closure check; re-run it here and
-        # compare with brute-force subset scans
+        # compare with brute-force subset scans.  The Buchberger labels are
+        # the builder's own, the clique labels are computed on first read;
+        # both must be the lcm of the face's generators
         for seed in range(25):
             ideal = helpers.ideal_from_seed(seed, nvars, ngens, maxdeg)
             graph = buchberger_graph(ideal)
@@ -226,8 +229,10 @@ class TestTaylorAndClique:
                 (clique_complex(graph, ideal), helpers.clique_oracle(graph)),
             ]:
                 faces = built.face_set()
-                assert SimplicialComplex(faces, validate=True).face_set() == faces
+                assert SimplicialComplex(faces).face_set() == faces
                 assert faces == oracle
+                for f in faces:
+                    assert built.label(f) == lcm_of([ideal.generators[v] for v in f], nvars)
 
     @given(seeds)
     def test_inclusion_chain(self, seed):

@@ -1,9 +1,9 @@
 """Byte-exact command outputs, recorded once and compared on every run.
 
-The verify, betti and conjecture commands must keep their JSON output and
-their fuzz-log records (timestamp removed) unchanged when the code behind
-them is restructured.  After a change that is meant to alter the output,
-rewrite the recording with::
+The verify, betti, complex and conjecture commands must keep their JSON
+output and their fuzz-log records (timestamp removed) unchanged when the
+code behind them is restructured.  After a change that is meant to alter
+the output, rewrite the recording with::
 
     PYTHONPATH=src python tests/test_golden.py
 """
@@ -48,6 +48,12 @@ CONJECTURE = {
         "--mode", "strongly-generic", "--trials", "4", "--seed", "2",
         "--fields", "0,3",
     ],
+    # benchmark seed 32, round 20: the second trial's clique complex has
+    # reduced H_2 of rank 1, so the run exits 1 through the re-verify path
+    "conjecture-candidate": [
+        "conjecture", "--vars", "5", "--gens", "30", "--maxdeg", "6",
+        "--trials", "2", "--seed", "7793247015739397264", "--format", "json",
+    ],
 }
 
 
@@ -58,6 +64,10 @@ def cases() -> dict:
         for method in ("interval", "agreement", "faces"):
             out[f"betti-{method}-{name}"] = [
                 "betti", "--inline", text, "--method", method, "--format", "json",
+            ]
+        for kind in ("bu", "scarf", "taylor", "clique"):
+            out[f"complex-{kind}-{name}"] = [
+                "complex", "--inline", text, "--kind", kind, "--format", "json",
             ]
     out.update(CONJECTURE)
     return out

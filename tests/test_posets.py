@@ -302,7 +302,7 @@ class TestIntervalCrosscut:
             if not any(m):
                 continue
             gamma = interval_crosscut(ideal, m)
-            SimplicialComplex(gamma.face_set(), validate=True)  # downward closed
+            SimplicialComplex(gamma.face_set())  # downward closed
             oc = order_complex(open_interval(lattice, m))
             for f in (FieldSpec(0), FieldSpec(2)):
                 assert _padded_equal(
