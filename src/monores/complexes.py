@@ -37,7 +37,7 @@ class SimplicialComplex:
     use.
     """
 
-    __slots__ = ("_masks", "_dim", "_by_dim", "_face_set", "_core")
+    __slots__ = ("_masks", "_dim", "_by_dim", "_face_set", "_core", "_cofaces")
 
     def __init__(self, faces):
         seen = {()}
@@ -54,14 +54,19 @@ class SimplicialComplex:
                     raise ValueError(f"not downward closed: {f} lacks a facet")
         self._masks = frozenset(face_mask(t) for t in seen if t)
         self._by_dim = _faces_by_dim(seen)
-        self._dim = self._face_set = self._core = None
+        self._dim = self._face_set = self._core = self._cofaces = None
 
     @classmethod
-    def from_masks(cls, masks) -> SimplicialComplex:
-        """A complex from the bitmasks of its nonempty faces, downward closed."""
+    def from_masks(cls, masks, cofaces=None) -> SimplicialComplex:
+        """A complex from the bitmasks of its nonempty faces, downward closed.
+
+        ``cofaces``, when given, is the collapse's coface map of the faces
+        (see ``collapsed_core``), handed to it on the first ``core()``.
+        """
         complex_ = cls.__new__(cls)
         complex_._masks = frozenset(masks)
         complex_._dim = complex_._by_dim = complex_._face_set = complex_._core = None
+        complex_._cofaces = cofaces
         return complex_
 
     @property
@@ -96,7 +101,8 @@ class SimplicialComplex:
         once however many fields it is checked over.
         """
         if self._core is None:
-            self._core = frozenset(collapsed_core(self._masks))
+            self._core = frozenset(collapsed_core(self._masks, cofaces=self._cofaces))
+            self._cofaces = None
         return self._core
 
     def induced(self, vertex_mask: int) -> SimplicialComplex:
@@ -135,13 +141,13 @@ class LabeledComplex(SimplicialComplex):
         self._labels = None
 
     @classmethod
-    def from_masks(cls, ideal: MonomialIdeal, masks, labels=None) -> LabeledComplex:
+    def from_masks(cls, ideal: MonomialIdeal, masks, labels=None, cofaces=None) -> LabeledComplex:
         """A complex from the bitmasks of its nonempty faces, downward closed.
 
         ``labels``, when given, maps every face mask, 0 for the empty face
         included, to the lcm of the face's generators.
         """
-        complex_ = super().from_masks(masks)
+        complex_ = super().from_masks(masks, cofaces)
         complex_.ideal = ideal
         complex_._labels = labels
         return complex_
@@ -281,22 +287,25 @@ def clique_complex(
     if n != len(ideal.generators):
         raise ValueError("graph vertices must match the ideal's generators")
     adj = graph.adjacency_masks()
-    out: list[int] = []
-    # (clique mask, the vertices above its top adjacent to all of it)
+    # a clique's coface mask is the common neighbourhood of its vertices
+    cofaces: dict[int, int] = {}
     frontier: list[tuple[int, int]] = [(0, (1 << n) - 1)]
     while frontier:
-        out.extend(m for m, _ in frontier)
-        if len(out) > max_faces:
+        cofaces.update(frontier)
+        if len(cofaces) > max_faces:
             raise CapExceededError(f"clique count exceeds cap {max_faces}")
         grown = []
         for clique, common in frontier:
-            while common:
-                low = common & -common
-                common ^= low
+            # bit_length is one past the top vertex
+            top = clique.bit_length()
+            above = common >> top << top
+            while above:
+                low = above & -above
+                above ^= low
                 grown.append((clique | low, common & adj[low.bit_length() - 1]))
         frontier = grown
     # downward closed by construction; labels are computed if read
-    return LabeledComplex.from_masks(ideal, out[1:])
+    return LabeledComplex.from_masks(ideal, [m for m in cofaces if m], cofaces=cofaces)
 
 
 def subcomplex_dividing(complex_: LabeledComplex, m) -> SimplicialComplex:

@@ -115,7 +115,24 @@ def mask_face(m: int) -> tuple[int, ...]:
     return tuple(out)
 
 
-def collapsed_core(faces) -> set[tuple[int, ...]]:
+def _coface_masks(faces) -> dict[int, int]:
+    """Each face's coface mask, the empty face's under 0.
+
+    ``faces`` are the nonempty faces of a complex as vertex bitmasks; the
+    coface mask of a face holds the vertices that extend it to a face.
+    """
+    cofaces = dict.fromkeys(faces, 0)
+    cofaces[0] = 0
+    for f in cofaces:
+        rest = f
+        while rest:
+            low = rest & -rest
+            cofaces[f ^ low] |= low
+            rest ^= low
+    return cofaces
+
+
+def collapsed_core(faces, *, cofaces=None) -> set[tuple[int, ...]]:
     """Greedily remove free face / unique-coface pairs.
 
     ``faces`` are the nonempty faces as vertex bitmasks.  A face's coface
@@ -125,21 +142,21 @@ def collapsed_core(faces) -> set[tuple[int, ...]]:
     order (free faces by decreasing size, then lexicographically, then as
     removals free them), so the core is deterministic.  It is returned as
     sorted vertex tuples, the empty face included.
+
+    ``cofaces``, when given, maps every face of ``faces``, and 0 for the
+    empty face, to its coface mask; a builder that has computed them passes
+    them, and the collapse edits the map in place.  Otherwise the map is
+    derived from ``faces``.
     """
     # the keys are the faces still present
-    cofaces = dict.fromkeys(faces, 0)
-    cofaces[0] = 0
-    for f in cofaces:
-        rest = f
-        while rest:
-            low = rest & -rest
-            cofaces[f ^ low] |= low
-            rest ^= low
+    if cofaces is None:
+        cofaces = _coface_masks(faces)
     free = [f for f, c in cofaces.items() if f and c and not c & (c - 1)]
     queue = deque(sorted(free, key=lambda f: (-f.bit_count(), mask_face(f))))
+    get, push, pop = cofaces.get, queue.append, queue.popleft
     while queue:
-        f = queue.popleft()
-        c = cofaces.get(f)
+        f = pop()
+        c = get(f)
         if not c or c & (c - 1):
             continue
         g = f | c
@@ -150,13 +167,13 @@ def collapsed_core(faces) -> set[tuple[int, ...]]:
                 low = rest & -rest
                 rest ^= low
                 facet = removed ^ low
-                s = cofaces.get(facet)
+                s = get(facet)
                 if s is not None:
                     # removed was present, so its vertex is in facet's mask
                     s ^= low
                     cofaces[facet] = s
                     if facet and s and not s & (s - 1):
-                        queue.append(facet)
+                        push(facet)
     return {mask_face(f) for f in cofaces}
 
 

@@ -502,6 +502,21 @@ class TestBuildCounts:
         assert built == []
         assert labelled == []
 
+    def test_only_complexes_without_coface_masks_derive_them(self, capsys, monkeypatch):
+        # the clique listing hands its coface masks to the collapse, so a
+        # conjecture trial derives none; verify's complexes pass none
+        from monores import homology
+
+        derived = count_calls(monkeypatch, homology, "_coface_masks")
+        record = run_conjecture_trial(
+            IdealRandomSpec(4, 7, 4, "arbitrary", 3), homology.DEFAULT_FIELDS
+        )
+        assert record.verdict == "consistent"
+        assert derived == []
+        code, _, _ = run(capsys, ["verify", "--inline", EXAMPLE_TEXT, "--fields", "0,2"])
+        assert code == 0
+        assert derived
+
     def test_verify_lists_chains_of_the_degree_poset_only(self, capsys, monkeypatch):
         from monores import posets
 

@@ -209,6 +209,14 @@ class TestTaylorAndClique:
         graph = SimpleGraph(3, frozenset({(0, 1), (0, 2), (1, 2)}))
         assert len(clique_complex(graph, ideal)) == 8
 
+    def test_clique_cap_counts_the_empty_face(self):
+        ideal = helpers.ideal_from_seed(3, 4, 8, 4)
+        graph = buchberger_graph(ideal)
+        cl = clique_complex(graph, ideal)
+        assert clique_complex(graph, ideal, max_faces=len(cl)) == cl
+        with pytest.raises(CapExceededError, match=f"^clique count exceeds cap {len(cl) - 1}$"):
+            clique_complex(graph, ideal, max_faces=len(cl) - 1)
+
     def test_path_graph_has_no_triangle(self):
         ideal = minimalize(3, [(1, 0, 0), (0, 1, 0), (0, 0, 1)])
         graph = SimpleGraph(3, frozenset({(0, 1), (1, 2)}))

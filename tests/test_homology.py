@@ -8,6 +8,7 @@ import helpers
 from monores import (
     CapExceededError,
     FieldSpec,
+    IdealRandomSpec,
     SimplicialComplex,
     buchberger_complex,
     buchberger_graph,
@@ -18,11 +19,13 @@ from monores import (
     minimalize,
     open_interval,
     order_complex,
+    random_ideal,
     reduced_homology,
     subcomplex_dividing,
 )
 from monores.homology import (
     _boundary_rows,
+    _coface_masks,
     _matrix_rank,
     collapsed_core,
     face_mask,
@@ -246,6 +249,25 @@ class TestCollapse:
         for m in lcm_lattice(ideal).elements:
             sub = subcomplex_dividing(bu, m)
             assert sub.core() == helpers.collapse_oracle(sub.face_set())
+
+    @given(seeds, st.integers(3, 6), st.sampled_from(["arbitrary", "strongly-generic"]))
+    def test_clique_coface_masks_equal_the_derived_ones(self, seed, nvars, mode):
+        # the clique listing hands each clique's common neighbourhood to the
+        # collapse; it must be the coface map derived from the faces, and
+        # both routes must leave the oracle's core
+        if mode == "arbitrary":
+            spec = IdealRandomSpec(nvars, 2 * nvars + 2, 5, mode, seed)
+        else:
+            spec = IdealRandomSpec(nvars, nvars + 4, nvars + 7, mode, seed)
+        ideal = random_ideal(spec)
+        cl = clique_complex(buchberger_graph(ideal), ideal)
+        faces = masks(cl.face_set())
+        handed = cl._cofaces
+        assert handed == _coface_masks(faces)
+        core = collapsed_core(faces, cofaces=dict(handed))
+        assert core == collapsed_core(faces) == helpers.collapse_oracle(cl.face_set())
+        assert cl.core() == core
+        assert cl._cofaces is None
 
 
 class TestRankRoutines:

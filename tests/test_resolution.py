@@ -22,7 +22,9 @@ from monores import (
     lcm_lattice,
     lemma_battery,
     minimalize,
+    parse_ideal,
     random_ideal,
+    reduced_homology,
     IdealRandomSpec,
     scarf_complex,
     supports_resolution,
@@ -32,6 +34,12 @@ from monores import (
 )
 
 seeds = st.integers(0, 10_000)
+
+# clique complexes that do not collapse to a point: the octahedron, a
+# 2-sphere with no free face, and the second trial of
+# `conjecture --vars 5 --gens 30 --maxdeg 6 --trials 2 --seed 7793247015739397264`
+OCTAHEDRON_TEXT = "vars: 3\nx3^4\nx1*x2^2*x3^3\nx2^4\nx1^2*x2^3*x3\nx1^3*x2*x3^2\nx1^4\n"
+SEED_32_TRIAL = IdealRandomSpec(5, 30, 6, "arbitrary", 9095011457165053181)
 
 
 def example_ideal():
@@ -368,6 +376,32 @@ class TestConjectureEvidence:
         report = conjecture_evidence(example_ideal(), max_faces=4)
         assert conjecture_verdict(report) == "skipped"
         assert report.checks[0].reason
+
+    @pytest.mark.parametrize(
+        "ideal, faces, core_faces, oracle_field",
+        [
+            (parse_ideal(OCTAHEDRON_TEXT), 27, 27, FieldSpec(0)),
+            # the tuple oracle takes seconds over Q here; the collapse-free
+            # path is the check over Q, the oracle the one over F_2
+            (random_ideal(SEED_32_TRIAL), 805, 51, FieldSpec(2)),
+        ],
+        ids=["octahedron", "seed-32-trial"],
+    )
+    def test_clique_complexes_with_a_2_sphere(self, ideal, faces, core_faces, oracle_field):
+        graph = buchberger_graph(ideal)
+        cl = clique_complex(graph, ideal)
+        assert cl.face_set() == helpers.clique_oracle(graph)
+        assert (len(cl), len(cl.core())) == (faces, core_faces)
+        assert cl.core() == helpers.collapse_oracle(cl.face_set())
+        expected = (0, 0, 0, 1) + (0,) * (cl.dim - 2)
+        oracle = helpers.homology_oracle(cl.face_set(), oracle_field.characteristic)
+        assert tuple(oracle[k] for k in range(-1, cl.dim + 1)) == expected
+        assert reduced_homology(cl, collapse=False).ranks == expected
+        for field in (FieldSpec(0), FieldSpec(2), FieldSpec(3), FieldSpec(32003)):
+            assert reduced_homology(cl, field).ranks == expected
+        report = conjecture_evidence(ideal)
+        assert [c.status for c in report.checks] == ["fail"] * 5
+        assert conjecture_verdict(report) == "CANDIDATE COUNTEREXAMPLE"
 
     def test_candidate_from_artificial_homology(self):
         # a hollow-square Buchberger graph would be a candidate; simulate by
