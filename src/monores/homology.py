@@ -1,10 +1,10 @@
 """Exact reduced simplicial homology over the rationals, prime fields, and the integers.
 
-Ranks are computed with exact integer arithmetic only; characteristic zero
-uses division-free cross-multiplication with per-row gcd reduction, prime
-characteristics use modular elimination.  Complexes are first shrunk by
-elementary collapses, which preserve the homotopy type and hence every rank
-and torsion invariant reported here.
+Ranks are computed by sparse elimination with exact integer arithmetic only;
+characteristic zero uses division-free cross-multiplication with per-row gcd
+reduction, prime characteristics use modular elimination.  Complexes are
+first shrunk by elementary collapses, which preserve the homotopy type and
+hence every rank and torsion invariant reported here.
 """
 
 from __future__ import annotations
@@ -181,41 +181,54 @@ def collapsed_core(faces, *, cofaces=None) -> set[tuple[int, ...]]:
 # exact rank computation
 
 def _matrix_rank(rows: list[dict[int, int]], ncols: int, p: int) -> int:
-    """Rank by dense elimination: fraction-free for p = 0, modular otherwise."""
-    if not rows or not ncols:
-        return 0
-    m = [[0] * ncols for _ in rows]
-    for i, row in enumerate(rows):
-        for c, v in row.items():
-            m[i][c] = v % p if p else v
-    rank = 0
-    nrows = len(m)
-    for col in range(ncols):
-        piv = next((r for r in range(rank, nrows) if m[r][col]), None)
-        if piv is None:
-            continue
-        m[rank], m[piv] = m[piv], m[rank]
-        pivot_row, pv = m[rank], m[rank][col]
-        for r in range(rank + 1, nrows):
-            a = m[r][col]
-            if not a:
-                continue
-            row = m[r]
-            if p:
-                for c in range(col, ncols):
-                    row[c] = (row[c] * pv - a * pivot_row[c]) % p
-            else:
+    """Rank of sparse rows ``{column: entry}`` by elimination on leading columns.
+
+    Each row is reduced by the pivot stored under its leading (lowest)
+    column until that column has none, and then becomes the pivot there.
+    Over F_p (p > 0) entries are residues and a pivot is scaled to lead with
+    1.  Over Q (p = 0) the elimination is fraction-free: a pivot leading
+    with 1 is subtracted as it is, any other scales the row first, and the
+    row's content (gcd) is then divided out.
+    """
+    pivots: dict[int, dict[int, int]] = {}
+    full = min(len(rows), ncols)
+    for row in rows:
+        row = {c: v % p for c, v in row.items() if v % p} if p else dict(row)
+        while row:
+            lead = min(row)
+            a = row[lead]
+            piv = pivots.get(lead)
+            if piv is None:
+                if p and a != 1:
+                    inv = pow(a, -1, p)
+                    row = {c: v * inv % p for c, v in row.items()}
+                elif a < 0:
+                    row = {c: -v for c, v in row.items()}
+                pivots[lead] = row
+                break
+            b = piv[lead]
+            if b != 1:
+                # only over Q: scale the row so that the pivot's multiple cancels
+                g = gcd(a, b)
+                a, b = a // g, b // g
+                row = {c: v * b for c, v in row.items()}
+            for c, v in piv.items():
+                v = row.get(c, 0) - a * v
+                if p:
+                    v %= p
+                if v:
+                    row[c] = v
+                else:
+                    del row[c]
+            if b != 1 and row:
                 g = 0
-                for c in range(col, ncols):
-                    row[c] = row[c] * pv - a * pivot_row[c]
-                    g = gcd(g, row[c])
+                for v in row.values():
+                    g = gcd(g, v)
                 if g > 1:
-                    for c in range(col, ncols):
-                        row[c] //= g
-        rank += 1
-        if rank == nrows:
+                    row = {c: v // g for c, v in row.items()}
+        if len(pivots) == full:
             break
-    return rank
+    return len(pivots)
 
 
 def _faces_by_dim(faces) -> dict[int, tuple[tuple[int, ...], ...]]:
@@ -256,6 +269,9 @@ def _reduced_ranks_of_faces(faces, characteristic: int) -> dict[int, int]:
 def reduced_homology(complex_, field: FieldSpec = FieldSpec(0), *, collapse: bool = True) -> HomologyRanks:
     """Reduced Betti numbers of the complex over the given field."""
     faces = complex_.core() if collapse else complex_.face_set()
+    if len(faces) == 2:
+        # the empty face and one vertex: a point, acyclic over every field
+        return HomologyRanks((0,) * (complex_.dim + 2))
     ranks = _reduced_ranks_of_faces(faces, field.characteristic)
     return HomologyRanks(tuple(ranks.get(k, 0) for k in range(-1, complex_.dim + 1)))
 
@@ -347,6 +363,8 @@ def integral_homology(complex_, *, max_cells: int = INTEGRAL_CELL_CAP) -> Integr
         raise CapExceededError(
             f"{len(faces) - 1} cells after collapsing exceed cap {max_cells}"
         )
+    if len(faces) == 2:
+        return IntegralHomology((0,) * (complex_.dim + 2), ((),) * (complex_.dim + 2))
     by_dim = _faces_by_dim(faces)
     top = max(by_dim)
     counts = {k: len(v) for k, v in by_dim.items()}

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from itertools import compress
+from itertools import chain, compress
 from operator import eq
 
 from .complexes import SimplicialComplex
@@ -224,23 +224,21 @@ def agreement_poset(nvars: int, sets) -> FinitePoset:
 def order_complex(poset: FinitePoset, *, max_chains: int = CHAIN_CAP) -> SimplicialComplex:
     """All chains of the poset as faces, on the poset's element indices.
 
-    A chain grows only through the elements strictly above its top, so each
-    chain is listed once, as a vertex bitmask, without sorting.
+    Elements are taken in a linear extension (by down-set size).  The chains
+    topped by v are {v} and v added to each chain topped by an element below
+    v, so each chain is made once, as a vertex bitmask, by one OR.
     """
-    n = len(poset)
-    above = [
-        [(1 << v, v) for v in mask_face(poset.up_mask(i) & ~(1 << i))] for i in range(n)
-    ]
-    faces: list[int] = []
-    frontier = [(1 << i, i) for i in range(n)]
+    topped: list[list[int]] = [[] for _ in range(len(poset))]
     count = 1
-    while frontier:
-        faces.extend(c for c, _ in frontier)
-        count += len(frontier)
+    for v in sorted(range(len(poset)), key=lambda i: poset.down_mask(i).bit_count()):
+        bit = 1 << v
+        chains = topped[v] = [bit]
+        for u in mask_face(poset.down_mask(v) & ~bit):
+            chains += map(bit.__or__, topped[u])
+        count += len(chains)
         if count > max_chains:
             raise CapExceededError(f"chain count exceeds cap {max_chains}")
-        frontier = [(chain_ | bit, v) for chain_, top in frontier for bit, v in above[top]]
-    return SimplicialComplex.from_masks(faces)
+    return SimplicialComplex.from_masks(chain.from_iterable(topped))
 
 
 def crosscut_complex(

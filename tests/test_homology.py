@@ -23,6 +23,7 @@ from monores import (
     reduced_homology,
     subcomplex_dividing,
 )
+from monores import homology
 from monores.homology import (
     _boundary_rows,
     _coface_masks,
@@ -35,6 +36,7 @@ seeds = st.integers(0, 10_000)
 
 HOLLOW_TRIANGLE = [(0,), (1,), (2,), (0, 1), (0, 2), (1, 2)]
 TWO_POINTS = [(0,), (1,)]
+RANK_CHARACTERISTICS = (0, 2, 3, 32003)
 
 
 def complex_of(faces):
@@ -293,6 +295,73 @@ class TestRankRoutines:
         ]
         dense = [[row.get(c, 0) for c in range(ncols)] for row in rows]
         assert _matrix_rank(rows, ncols, 0) == helpers.rank_oracle(dense, 0)
+
+    @given(st.integers(0, 14), st.integers(0, 14), seeds)
+    def test_sparse_matrices_match_oracle(self, nrows, ncols, seed):
+        # entries up to +-6, so pivots other than +-1 occur; empty, tall and
+        # wide shapes all come up
+        rng = random.Random(seed)
+        density = rng.random()
+        dense = [
+            [rng.randint(-6, 6) if rng.random() < density else 0 for _ in range(ncols)]
+            for _ in range(nrows)
+        ]
+        rows = [{c: v for c, v in enumerate(row) if v} for row in dense]
+        for p in RANK_CHARACTERISTICS:
+            assert _matrix_rank([dict(r) for r in rows], ncols, p) == helpers.rank_oracle(dense, p)
+
+    @given(seeds)
+    def test_boundary_matrices_match_oracle(self, seed):
+        c = SimplicialComplex(helpers.random_face_family(seed, nverts=7, nfacets=6))
+        ideal = helpers.ideal_from_seed(seed, 3, 5, 3)
+        lattice = lcm_lattice(ideal)
+        complexes = [c, order_complex(open_interval(lattice, lattice.top))]
+        for cx in complexes:
+            for k in range(1, cx.dim + 1):
+                lower, upper = cx.faces(k - 1), cx.faces(k)
+                dense = helpers.boundary_dense(lower, upper)
+                for p in RANK_CHARACTERISTICS:
+                    rows = _boundary_rows(lower, upper)
+                    assert _matrix_rank(rows, len(upper), p) == helpers.rank_oracle(dense, p)
+
+    def test_projective_plane_ranks_depend_on_the_characteristic(self):
+        rp2 = SimplicialComplex(helpers.downward_closure(helpers.PROJECTIVE_PLANE_FACETS))
+        edges, triangles = rp2.faces(1), rp2.faces(2)
+        dense = helpers.boundary_dense(edges, triangles)
+        expected = {0: 10, 2: 9, 3: 10, 32003: 10}
+        for p, rank in expected.items():
+            assert _matrix_rank(_boundary_rows(edges, triangles), 10, p) == rank
+            assert helpers.rank_oracle(dense, p) == rank
+
+
+class TestOnePointCores:
+    # a core that is the empty face and one vertex has all-zero ranks, read
+    # without grouping faces or building any boundary row
+
+    @pytest.mark.parametrize(
+        "facets",
+        [[(0,)], [(0, 1, 2, 3)], [(0, 1, 2), (0, 2, 3), (0, 3, 4)], [(0, 1), (1, 2), (2, 3)]],
+    )
+    def test_zero_ranks_without_rows(self, facets, monkeypatch):
+        # the collapse=False path eliminates every face: the oracle here
+        expected = {
+            f: reduced_homology(complex_of(facets), FieldSpec(f), collapse=False).ranks
+            for f in (0, 2)
+        }
+        c = complex_of(facets)
+        assert len(c.core()) == 2
+
+        def fail(*args):
+            raise AssertionError("a one-point core built boundary rows")
+
+        monkeypatch.setattr(homology, "_boundary_rows", fail)
+        monkeypatch.setattr(homology, "_faces_by_dim", fail)
+        zeros = (0,) * (c.dim + 2)
+        for f in (0, 2):
+            assert reduced_homology(c, FieldSpec(f)).ranks == expected[f] == zeros
+        result = integral_homology(c)
+        assert result.ranks == zeros
+        assert result.torsion == ((),) * (c.dim + 2)
 
 
 class TestIntegralHomology:

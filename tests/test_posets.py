@@ -1,3 +1,6 @@
+import random
+import time
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -363,6 +366,58 @@ class TestOrderComplex:
             interval = open_interval(lattice, m) if any(m) else None
             if interval is not None and len(interval) <= 14:
                 assert order_complex(interval).face_set() == helpers.chains_oracle(interval)
+
+    @given(seeds)
+    def test_chains_match_brute_force_on_degree_interval_and_agreement_posets(self, seed):
+        ideal = helpers.ideal_from_seed(seed, 4, 5, 3)
+        for poset in poset_family(ideal):
+            if len(poset) <= 14:
+                assert order_complex(poset).face_set() == helpers.chains_oracle(poset)
+
+    @given(seeds)
+    def test_chains_match_brute_force_on_restricted_posets(self, seed):
+        rng = random.Random(seed)
+        lattice = lcm_lattice(helpers.ideal_from_seed(seed, 3, 5, 3))
+        poset = open_interval(lattice, lattice.top)
+        sub = poset.restrict(rng.getrandbits(len(poset)))
+        if len(sub) <= 14:
+            assert order_complex(sub).face_set() == helpers.chains_oracle(sub)
+
+    @given(seeds)
+    def test_chains_do_not_depend_on_the_index_order(self, seed):
+        # the permuted poset's index order is in general no linear extension
+        rng = random.Random(seed)
+        lattice = lcm_lattice(helpers.ideal_from_seed(seed, 3, 5, 3))
+        poset = open_interval(lattice, lattice.top)
+        n = len(poset)
+        perm = list(range(n))  # old index i becomes perm[i]
+        rng.shuffle(perm)
+        old = [0] * n
+        for i, j in enumerate(perm):
+            old[j] = i
+        down = [sum(1 << perm[i] for i in mask_face(poset.down_mask(old[j]))) for j in range(n)]
+        permuted = FinitePoset([poset.elements[old[j]] for j in range(n)], down)
+        chains = order_complex(permuted)
+        assert chains.face_set() == {
+            tuple(sorted(perm[i] for i in f)) for f in order_complex(poset).face_set()
+        }
+        if n <= 14:
+            assert chains.face_set() == helpers.chains_oracle(permuted)
+        total = len(chains)
+        assert len(order_complex(permuted, max_chains=total)) == total
+        if total > 1:
+            with pytest.raises(CapExceededError, match=f"chain count exceeds cap {total - 1}$"):
+                order_complex(permuted, max_chains=total - 1)
+
+    def test_cap_is_checked_per_element(self):
+        # a Boolean lattice on 12 atoms has 4096 elements and more than 10^11
+        # chains; the cap must stop the listing long before a level is done
+        sets = tuple(sorted(range(1 << 12), key=lambda s: (s.bit_count(), s)))
+        poset = agreement_poset(12, sets)
+        start = time.perf_counter()
+        with pytest.raises(CapExceededError, match="chain count exceeds cap 1000$"):
+            order_complex(poset, max_chains=1000)
+        assert time.perf_counter() - start < 1.0
 
 
 class TestCrosscut:
