@@ -253,7 +253,9 @@ def betti_from_intervals(
 
     Every chain of each interval is listed, so ``max_chains`` bounds the
     whole order complex; the homology is read on the chains inside the
-    interval's strong core, which have the same homotopy type.
+    interval's strong core, which have the same homotopy type.  A core of
+    one element is a point, so its interval adds nothing and no homology
+    is read.
     """
     lattice = lattice or lcm_lattice(ideal, max_elements=max_lattice)
     entries: dict[tuple[int, Multidegree], int] = {}
@@ -263,6 +265,8 @@ def betti_from_intervals(
         interval = open_interval(lattice, m)
         chains = order_complex(interval, max_chains=max_chains)
         core = dismantle(interval.comparability_masks())
+        if core.bit_count() == 1:
+            continue
         ranks = reduced_homology(chains.induced(core), field)
         for i, r in enumerate(ranks.ranks):
             if r:

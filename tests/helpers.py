@@ -18,6 +18,7 @@ from monores import (
     IdealRandomSpec,
     MonomialIdeal,
     lcm_lattice,
+    open_interval,
     order_complex,
     random_ideal,
     reduced_homology,
@@ -107,6 +108,31 @@ def buchberger_oracle(ideal):
 def subcomplex_dividing_oracle(complex_, m):
     """The faces of a labeled complex whose label divides m, by a label scan."""
     return {f for f in complex_.all_faces() if divides(complex_.label(f), m)}
+
+
+def interval_crosscut_oracle(ideal, m):
+    """The sets of generators dividing m whose lcm is not m, by subset scans."""
+    atoms = [v for v, g in enumerate(ideal.generators) if divides(g, m)]
+    return {
+        subset
+        for k in range(len(atoms) + 1)
+        for subset in combinations(atoms, k)
+        if lcm_of([ideal.generators[v] for v in subset], ideal.nvars) != tuple(m)
+    }
+
+
+def interval_betti_oracle(ideal, field=FieldSpec(0)):
+    """Interval Betti numbers read literally, with no strong or elementary
+    collapse: beta_{i,m} is the reduced H_{i-1} of the order complex of the
+    open interval (1, m), for every nonzero lattice element m."""
+    lattice = lcm_lattice(ideal)
+    entries = {}
+    for m in lattice.elements:
+        if any(m):
+            chains = order_complex(open_interval(lattice, m))
+            for i, r in enumerate(reduced_homology(chains, field, collapse=False).ranks):
+                entries[(i, m)] = r
+    return BettiTable(entries)
 
 
 def interval_elements_oracle(lattice, m):

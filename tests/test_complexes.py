@@ -9,9 +9,13 @@ from monores import (
     FieldSpec,
     SimpleGraph,
     SimplicialComplex,
+    agreement_poset,
+    agreement_sets,
     buchberger_complex,
+    buchberger_degree_poset,
     buchberger_graph,
     clique_complex,
+    crosscut_complex,
     dismantle,
     f_vector,
     is_connected,
@@ -22,6 +26,7 @@ from monores import (
     scarf_complex,
     subcomplex_dividing,
     taylor_complex,
+    interval_crosscut,
     lcm_lattice,
     lcm_of,
     open_interval,
@@ -29,7 +34,7 @@ from monores import (
     reduced_homology,
 )
 from monores.complexes import LabeledComplex, graph_to_dot
-from monores.homology import mask_face
+from monores.homology import face_mask, mask_face
 
 
 def example_ideal():
@@ -98,6 +103,105 @@ class TestComplexInvariants:
                     from monores import divides
 
                     assert divides(bu.label(f[:p] + f[p + 1:]), bu.label(f))
+
+
+def assert_distinct_store(complex_, oracle):
+    """The complex stores each nonempty face once, and its faces are ``oracle``."""
+    masks = complex_._masks
+    assert type(masks) is tuple
+    assert len(set(masks)) == len(masks), "a face mask is stored twice"
+    assert 0 not in masks
+    assert {mask_face(m) for m in masks} | {()} == oracle
+
+
+def face_store_cases(ideal, rng):
+    """(complex, oracle face set) for every builder, on one ideal.
+
+    Order complexes are checked on posets of at most 12 elements, where
+    the subset scan of ``chains_oracle`` stays small.
+    """
+    lattice = lcm_lattice(ideal)
+    degrees = buchberger_degree_poset(ideal, lattice=lattice)
+    posets = [degrees]
+    for m in lattice.elements:
+        if any(m):
+            interval = open_interval(lattice, m)
+            posets += [interval, interval.restrict(rng.getrandbits(len(interval)))]
+            if helpers.is_buchberger_degree(ideal, m):
+                sets = agreement_sets(ideal, m, lattice=lattice)
+                posets.append(agreement_poset(ideal.nvars, sets))
+            yield interval_crosscut(ideal, m), helpers.interval_crosscut_oracle(ideal, m)
+    for poset in posets:
+        if len(poset) <= 12:
+            yield order_complex(poset), helpers.chains_oracle(poset)
+    bu = buchberger_complex(ideal)
+    yield bu, helpers.buchberger_oracle(ideal)
+    atoms = [degrees.index(g) for g in ideal.generators]
+    yield crosscut_complex(degrees, atoms), helpers.buchberger_oracle(ideal)
+    graph = buchberger_graph(ideal)
+    yield clique_complex(graph, ideal), helpers.clique_oracle(graph)
+    for m in rng.sample(lattice.elements, min(4, len(lattice))):
+        yield subcomplex_dividing(bu, m), helpers.subcomplex_dividing_oracle(bu, m)
+    kept = rng.getrandbits(len(ideal.generators))
+    yield bu.induced(kept), {f for f in bu.face_set() if not face_mask(f) & ~kept}
+    # the tuple constructor is given every face twice, in shuffled order
+    faces = sorted(bu.face_set()) * 2
+    rng.shuffle(faces)
+    yield SimplicialComplex(faces), bu.face_set()
+
+
+class TestFaceStore:
+    """Every builder stores each face mask once; sets are read only by
+    the collapse and by ``==``."""
+
+    @given(
+        seeds,
+        st.integers(3, 5),
+        st.integers(2, 5),
+        st.sampled_from([("arbitrary", 3), ("strongly-generic", 9)]),
+    )
+    def test_every_builder_stores_distinct_masks(self, seed, nvars, ngens, family):
+        mode, maxdeg = family
+        ideal = random_ideal(IdealRandomSpec(nvars, ngens, maxdeg, mode, seed))
+        for complex_, oracle in face_store_cases(ideal, random.Random(seed)):
+            assert_distinct_store(complex_, oracle)
+
+    def test_a_planted_duplicate_fails(self):
+        bu = buchberger_complex(example_ideal())
+        assert_distinct_store(bu, bu.face_set())
+        planted = SimplicialComplex.from_masks(bu._masks + bu._masks[-1:])
+        with pytest.raises(AssertionError, match="stored twice"):
+            assert_distinct_store(planted, bu.face_set())
+
+    @given(seeds)
+    def test_equality_ignores_the_order_of_the_masks(self, seed):
+        rng = random.Random(seed)
+        faces = helpers.random_face_family(seed, nverts=7, nfacets=5, max_dim=3)
+        masks = [face_mask(f) for f in faces if f]
+        built = SimplicialComplex(faces)
+        rng.shuffle(masks)
+        shuffled = SimplicialComplex.from_masks(masks)
+        assert shuffled == built == SimplicialComplex.from_masks(sorted(masks))
+        assert shuffled._masks == tuple(masks)
+        fewer = SimplicialComplex.from_masks(m for m in masks if m != max(masks))
+        assert fewer != built
+
+    def test_the_collapse_reads_a_frozenset(self, monkeypatch):
+        from monores import complexes
+
+        original = complexes.collapsed_core
+        seen = []
+
+        def recorded(faces, **kwargs):
+            seen.append(faces)
+            return original(faces, **kwargs)
+
+        monkeypatch.setattr(complexes, "collapsed_core", recorded)
+        lattice = lcm_lattice(example_ideal())
+        oc = order_complex(open_interval(lattice, lattice.top))
+        oc.core()
+        assert seen == [frozenset(oc._masks)]
+        assert type(seen[0]) is frozenset
 
 
 class TestBuchbergerGraph:

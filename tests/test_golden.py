@@ -38,6 +38,14 @@ IDEALS = {
     ),
 }
 
+# face ideal of the 6-vertex real projective plane (the non-faces of its 10
+# triangles): β over F_2 is (10, 15, 7, 1) and over Q (10, 15, 6), so its F_2
+# table depends on the field
+PROJECTIVE_PLANE = (
+    "vars: 6\nx1*x2*x4\nx1*x2*x5\nx1*x3*x5\nx1*x3*x6\nx1*x4*x6\n"
+    "x2*x3*x4\nx2*x3*x6\nx2*x5*x6\nx3*x4*x5\nx4*x5*x6\n"
+)
+
 CONJECTURE = {
     "conjecture-arbitrary": [
         "conjecture", "--vars", "4", "--gens", "7", "--maxdeg", "4",
@@ -68,6 +76,13 @@ def cases() -> dict:
         for kind in ("bu", "scarf", "taylor", "clique"):
             out[f"complex-{kind}-{name}"] = [
                 "complex", "--inline", text, "--kind", kind, "--format", "json",
+            ]
+    for name, text in (("arbitrary-5-vars", IDEALS["arbitrary-5-vars"]),
+                       ("projective-plane", PROJECTIVE_PLANE)):
+        for method in ("interval", "agreement"):
+            out[f"betti-{method}-f2-{name}"] = [
+                "betti", "--inline", text, "--method", method,
+                "--field", "2", "--format", "json",
             ]
     out.update(CONJECTURE)
     return out

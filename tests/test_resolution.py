@@ -230,6 +230,123 @@ class TestBettiTables:
         assert betti_from_agreement(ideal, FieldSpec(2), lattice=lattice) == mod_two
 
 
+def core_kinds(ideal, lattice):
+    """The kind of each open interval's strong core, by lattice element."""
+    from monores import dismantle, open_interval
+
+    kinds = {}
+    for m in lattice.elements:
+        if any(m):
+            interval = open_interval(lattice, m)
+            core = dismantle(interval.comparability_masks())
+            if not len(interval):
+                kinds[m] = "empty"
+            elif core.bit_count() == 1:
+                kinds[m] = "point"
+            elif core == (1 << len(interval)) - 1:
+                kinds[m] = "whole"
+            else:
+                kinds[m] = "part"
+    return kinds
+
+
+class TestIntervalMethod:
+    """The interval method lists every chain, then reads homology only where
+    the strong core is more than a point."""
+
+    # random --vars 5 --gens 14 --maxdeg 3 --seed 4: 49 intervals, of every kind
+    MIXED = IdealRandomSpec(5, 14, 3, "arbitrary", 4)
+
+    @given(
+        seeds,
+        st.integers(2, 4),
+        st.integers(1, 5),
+        st.sampled_from([("arbitrary", 3), ("strongly-generic", 8)]),
+    )
+    def test_matches_the_literal_reading(self, seed, nvars, ngens, family):
+        mode, maxdeg = family
+        ideal = random_ideal(IdealRandomSpec(nvars, ngens, maxdeg, mode, seed))
+        lattice = lcm_lattice(ideal)
+        for characteristic in (0, 2):
+            f = FieldSpec(characteristic)
+            assert betti_from_intervals(ideal, f, lattice=lattice) == (
+                helpers.interval_betti_oracle(ideal, f)
+            )
+
+    @pytest.mark.parametrize("characteristic", [0, 2])
+    def test_every_kind_of_core_matches_the_literal_reading(self, characteristic):
+        # empty intervals (generators) give H_{-1}; point cores give nothing
+        ideal = random_ideal(self.MIXED)
+        lattice = lcm_lattice(ideal)
+        kinds = core_kinds(ideal, lattice)
+        assert set(kinds.values()) == {"empty", "point", "whole", "part"}
+        f = FieldSpec(characteristic)
+        table = betti_from_intervals(ideal, f, lattice=lattice)
+        assert table == helpers.interval_betti_oracle(ideal, f)
+        assert {m for (_, m), _ in table.entries()} >= set(ideal.generators)
+        assert all(kinds[m] != "point" for (_, m), _ in table.entries())
+
+    def test_the_collapse_sees_only_the_chains_of_the_core(self, monkeypatch):
+        # a core that keeps every element hands over every chain, a smaller
+        # one only the chains inside it, and a point core nothing
+        from monores import complexes, dismantle, open_interval, order_complex
+
+        ideal = random_ideal(self.MIXED)
+        lattice = lcm_lattice(ideal)
+        expected = []
+        for m in lattice.elements:
+            if any(m):
+                interval = open_interval(lattice, m)
+                core = dismantle(interval.comparability_masks())
+                if core.bit_count() != 1:
+                    chains = order_complex(interval)._masks
+                    expected.append(frozenset(c for c in chains if not c & ~core))
+        seen = []
+        original = complexes.collapsed_core
+
+        def recorded(faces, **kwargs):
+            seen.append(faces)
+            return original(faces, **kwargs)
+
+        monkeypatch.setattr(complexes, "collapsed_core", recorded)
+        betti_from_intervals(ideal, lattice=lattice)
+        assert seen == expected
+
+    def test_chain_cap_is_checked_before_a_point_core_exits(self):
+        # (x^2, xy, y^2): the interval below x^2y^2 is the path
+        # x^2 < x^2y > xy < xy^2 > y^2, the most chains and a point core
+        from monores import CapExceededError, open_interval, order_complex
+
+        ideal = minimalize(2, [(2, 0), (1, 1), (0, 2)])
+        lattice = lcm_lattice(ideal)
+        assert core_kinds(ideal, lattice)[(2, 2)] == "point"
+        counts = {
+            m: len(order_complex(open_interval(lattice, m))) for m in lattice.elements if any(m)
+        }
+        most = max(counts.values())
+        assert counts[(2, 2)] == most == 10
+        assert [m for m, n in counts.items() if n == most] == [(2, 2)]
+        expected = betti_from_intervals(ideal, lattice=lattice)
+        assert betti_from_intervals(ideal, lattice=lattice, max_chains=most) == expected
+        with pytest.raises(CapExceededError, match=f"chain count exceeds cap {most - 1}$"):
+            betti_from_intervals(ideal, lattice=lattice, max_chains=most - 1)
+
+    @given(seeds, st.integers(2, 4), st.integers(2, 5))
+    def test_chain_cap_is_the_largest_interval(self, seed, nvars, ngens):
+        from monores import CapExceededError, open_interval, order_complex
+
+        ideal = random_ideal(IdealRandomSpec(nvars, ngens, 3, "arbitrary", seed))
+        lattice = lcm_lattice(ideal)
+        most = max(
+            len(order_complex(open_interval(lattice, m))) for m in lattice.elements if any(m)
+        )
+        expected = betti_from_intervals(ideal, lattice=lattice)
+        assert betti_from_intervals(ideal, lattice=lattice, max_chains=most) == expected
+        if most > 1:
+            with pytest.raises(CapExceededError, match=f"chain count exceeds cap {most - 1}$"):
+                betti_from_intervals(ideal, lattice=lattice, max_chains=most - 1)
+
+
 ROADMAP_TABLES = json.loads(
     Path(__file__).with_name("agreement_roadmap_tables.json").read_text()
 )
